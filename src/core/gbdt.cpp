@@ -17,14 +17,9 @@ namespace gbdt {
 std::pair<GBDTModel, TrainReport> GBDTModel::train(device::Device& dev,
                                                    const data::Dataset& ds,
                                                    const GBDTParam& param) {
-  TrainReport report;
-  if (param.use_hist_trainer) {
-    GpuHistTrainer trainer(dev, param);
-    report = trainer.train(ds);
-  } else {
-    GpuGbdtTrainer trainer(dev, param);
-    report = trainer.train(ds);
-  }
+  TrainReport report = param.use_hist_trainer
+                           ? GpuHistTrainer(dev, param).train(ds)
+                           : GpuGbdtTrainer(dev, param).train(ds);
   GBDTModel model(param, report.trees, report.base_score, ds.n_attributes());
   return {std::move(model), std::move(report)};
 }
@@ -77,31 +72,33 @@ GBDTModel::train_with_validation(device::Device& dev,
   objective::EarlyStopper stopper(early_stopping_rounds, param.eval_freq,
                                   /*higher_is_better=*/ranking);
 
-  GpuGbdtTrainer trainer(dev, param);
+  const auto on_tree = [&](int t, const std::vector<Tree>& forest) {
+    const Tree& tree = forest.back();
+    for (std::int64_t i = 0; i < validation.n_instances(); ++i) {
+      const auto row = validation.instance(i);
+      attrs.resize(row.size());
+      vals.resize(row.size());
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        attrs[k] = row[k].attr;
+        vals[k] = row[k].value;
+      }
+      scores[static_cast<std::size_t>(i)] += tree.predict(
+          attrs.data(), vals.data(), static_cast<std::int64_t>(row.size()));
+    }
+    if (!stopper.should_eval(t, param.n_trees)) return true;
+    const double m = metric_now();
+    history.metric.push_back(m);
+    history.eval_iteration.push_back(t);
+    if (stopper.record(t, m)) {
+      history.stopped_early = true;
+      return false;
+    }
+    return true;
+  };
   TrainReport report =
-      trainer.train(train_set, [&](int t, const std::vector<Tree>& forest) {
-        const Tree& tree = forest.back();
-        for (std::int64_t i = 0; i < validation.n_instances(); ++i) {
-          const auto row = validation.instance(i);
-          attrs.resize(row.size());
-          vals.resize(row.size());
-          for (std::size_t k = 0; k < row.size(); ++k) {
-            attrs[k] = row[k].attr;
-            vals[k] = row[k].value;
-          }
-          scores[static_cast<std::size_t>(i)] += tree.predict(
-              attrs.data(), vals.data(), static_cast<std::int64_t>(row.size()));
-        }
-        if (!stopper.should_eval(t, param.n_trees)) return true;
-        const double m = metric_now();
-        history.metric.push_back(m);
-        history.eval_iteration.push_back(t);
-        if (stopper.record(t, m)) {
-          history.stopped_early = true;
-          return false;
-        }
-        return true;
-      });
+      param.use_hist_trainer
+          ? GpuHistTrainer(dev, param).train(train_set, on_tree)
+          : GpuGbdtTrainer(dev, param).train(train_set, on_tree);
   history.best_iteration = stopper.best_iteration();
 
   std::vector<Tree> forest = report.trees;
@@ -205,9 +202,7 @@ GBDTModel GBDTModel::load(const std::string& path) {
   }
   m.param_.loss = static_cast<LossKind>(loss_kind);
   m.trees_.reserve(n_trees);
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    m.trees_.push_back(Tree::deserialize(in));
-  }
+  while (m.trees_.size() < n_trees) m.trees_.push_back(Tree::deserialize(in));
   return m;
 }
 

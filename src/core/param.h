@@ -93,4 +93,12 @@ struct GBDTParam {
   int n_bins = 64;
 };
 
+/// The one parameter check every trainer runs: throws std::invalid_argument
+/// unless depth >= 1, n_trees >= 1, gamma >= 0, lambda >= 0 and n_bins is in
+/// [1, 4096].  With n_attr > 0 it also applies the histogram method's
+/// footprint guard: the widest level's current + parent histograms over
+/// n_attr attributes must fit in a quarter of `device_mem_bytes`.
+void validate(const GBDTParam& p, std::int64_t n_attr = 0,
+              std::size_t device_mem_bytes = 0);
+
 }  // namespace gbdt

@@ -62,21 +62,23 @@ struct BestSplit {
   float split_value = 0.f;     // smallest value on the high (left) side
   bool default_left = false;   // direction for missing values
   std::int64_t seg = -1;       // global segment index of the winning attr
-  std::int64_t pos = -1;       // element index (sparse) / run index (RLE)
+  std::int64_t pos = -1;       // element (sparse) / run (RLE) / bin (hist)
   ActiveNode left;             // stats of the would-be children
   ActiveNode right;
 };
 
-/// Host-side plan of one level's node splits (filled by the orchestrator
-/// from BestSplit + tree bookkeeping, consumed by apply_splits_*).
+/// Host-side plan of one level's node splits (filled by the boosting driver
+/// from BestSplit + tree bookkeeping, consumed by the backends' apply step).
 struct LevelPlan {
   struct Entry {
     bool split = false;
-    std::int64_t chosen_seg = -1;
-    std::int64_t best_pos = -1;
-    std::int32_t left_id = -1;    // tree node ids of the children
-    std::int32_t right_id = -1;
+    std::int32_t attr = -1;         // the winning BestSplit's fields
+    float split_value = 0.f;
     bool default_left = false;
+    std::int64_t chosen_seg = -1;   // BestSplit::seg
+    std::int64_t best_pos = -1;     // BestSplit::pos
+    std::int32_t left_id = -1;      // tree node ids of the children
+    std::int32_t right_id = -1;
   };
   std::vector<Entry> per_slot;             // indexed by active slot
   std::vector<ActiveNode> next_active;     // children, in slot order
@@ -201,6 +203,10 @@ struct SplitCmd {
 void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan);
 void apply_partition_sparse(TrainState& st, const LevelPlan& plan);
 void apply_splits_sparse(TrainState& st, const LevelPlan& plan);
+
+/// Allocates the per-instance state (gradients, predictions, instance->node
+/// map) for st.n_inst rows and fills the predictions with the base score.
+void alloc_instance_state(TrainState& st);
 
 /// Per-instance gradient/prediction kernels (shared with the multi-GPU
 /// trainer, which runs them replicated on every shard).

@@ -22,12 +22,10 @@
 // steady-state device allocations are the persistent per-instance buffers.
 //
 // The steps live in HistGrower so the multi-GPU trainer can drive K growers
-// in lockstep, merging histograms between build and subtract; the
-// single-device train() below sequences them back-to-back, preserving the
-// pre-refactor kernel order and span structure exactly.
+// in lockstep, merging histograms between build and subtract; HistBackend
+// below sequences one grower back-to-back under the boosting driver.
 #include "core/trainer_hist.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -36,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/boosting.h"
 #include "core/trainer_detail.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -49,36 +48,10 @@
 namespace gbdt {
 
 using detail::ActiveNode;
+using detail::LevelPlan;
+using detail::PhaseScope;
 using detail::TrainState;
 using device::Device;
-
-namespace {
-
-/// Scoped accumulation of modeled device seconds into a phase counter.
-class PhaseScope {
- public:
-  PhaseScope(Device& dev, double& sink)
-      : dev_(dev), sink_(sink), start_(dev.elapsed_seconds()) {}
-  ~PhaseScope() { sink_ += dev_.elapsed_seconds() - start_; }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Device& dev_;
-  double& sink_;
-  double start_;
-};
-
-void finalize_leaf(TrainState& st, const ActiveNode& node) {
-  auto& tn = st.tree->node(node.tree_node);
-  tn.weight =
-      st.param.eta * leaf_weight(node.sum_g, node.sum_h, st.param.lambda);
-  tn.n_instances = node.count;
-  tn.sum_g = node.sum_g;
-  tn.sum_h = node.sum_h;
-}
-
-}  // namespace
 
 std::vector<hist::BinCuts> build_hist_cuts(const data::Dataset& ds,
                                            int n_bins) {
@@ -169,7 +142,7 @@ hist::QGH HistGrower::quantize(double max_abs_g, double max_abs_h,
       st_.n_inst};
 }
 
-void HistGrower::begin_tree(Tree& tree, const hist::QGH& global_root) {
+ActiveNode HistGrower::begin_tree(Tree& tree, const hist::QGH& global_root) {
   prim::fill(dev_, st_.node_of, std::int32_t{0});
   st_.tree = &tree;
   ActiveNode root;
@@ -177,10 +150,10 @@ void HistGrower::begin_tree(Tree& tree, const hist::QGH& global_root) {
   root.sum_g = static_cast<double>(global_root.g) * quant_g_.inv;
   root.sum_h = static_cast<double>(global_root.h) * quant_h_.inv;
   root.count = global_root.cnt;
-  st_.active.assign(1, root);
   slotq_.assign(1, global_root);
   hist_prev_ = device::ArenaBuffer<hist::QGH>{};
   pair_parent_slot_.clear();
+  return root;
 }
 
 void HistGrower::make_accum_plan() {
@@ -218,12 +191,8 @@ void HistGrower::make_accum_plan() {
   }
 }
 
-void HistGrower::plan_level() {
-  if (!distributed_) {
-    static obs::Counter& levels_grown =
-        obs::Registry::global().counter("gbdt_levels_grown_total");
-    levels_grown.inc();
-  }
+void HistGrower::plan_level(const std::vector<ActiveNode>& active) {
+  st_.active = active;
   hist_cur_ = st_.arena.alloc<hist::QGH>(
       static_cast<std::size_t>(st_.n_active() * cps_));
   make_accum_plan();
@@ -461,81 +430,50 @@ void HistGrower::find_level() {
   }
 }
 
-HistGrower::LevelDecision HistGrower::decide_level() {
-  // Host-side split decisions (Algorithm 1 lines 14-23).  Mutates the shared
-  // tree, so the multi-GPU trainer runs this on exactly one shard.
-  const std::int64_t n_slots = st_.n_active();
-  Tree& tree = *st_.tree;
-  LevelDecision d;
-  d.cmds.assign(static_cast<std::size_t>(n_slots), hist::HistSplitCmd{});
-  for (std::int64_t s = 0; s < n_slots; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    const ActiveNode& node = st_.active[su];
-    const detail::BestSplit& bs = best_[su];
-    auto& tn = tree.node(node.tree_node);
-    tn.n_instances = node.count;
-    tn.sum_g = node.sum_g;
-    tn.sum_h = node.sum_h;
-    if (bs.valid && bs.gain > param_.gamma) {
-      const auto [l, r] = tree.split(node.tree_node, bs.attr, bs.split_value,
-                                     bs.default_left, bs.gain);
-      d.cmds[su] = hist::HistSplitCmd{
-          bs.attr, static_cast<std::int32_t>(bs.pos), l, r,
-          static_cast<std::uint8_t>(bs.default_left ? 1 : 0)};
-      ActiveNode left = bs.left;
-      left.tree_node = l;
-      ActiveNode right = bs.right;
-      right.tree_node = r;
-      d.next_active.push_back(left);
-      d.next_active.push_back(right);
-      d.next_slotq.push_back(child_q_[2 * su]);
-      d.next_slotq.push_back(child_q_[2 * su + 1]);
-      d.next_pair_parent.push_back(static_cast<std::int32_t>(s));
-      d.expected_counts.emplace_back(l, left.count);
-      d.expected_counts.emplace_back(r, right.count);
-    } else {
-      finalize_leaf(st_, node);
-    }
-  }
-  return d;
-}
-
-void HistGrower::apply_level(const LevelDecision& d) {
+void HistGrower::apply_level(const LevelPlan& plan) {
   // Release the offsets table first: with the back-to-back single-device
   // sequence this reproduces the pre-refactor arena lifetimes exactly.
   seg_offsets_ = device::ArenaBuffer<std::int64_t>{};
   std::vector<std::int32_t> slot_of_node(
       static_cast<std::size_t>(st_.tree->n_nodes()), -1);
+  std::vector<hist::HistSplitCmd> cmds(st_.active.size());
   for (std::size_t s = 0; s < st_.active.size(); ++s) {
     slot_of_node[static_cast<std::size_t>(st_.active[s].tree_node)] =
         static_cast<std::int32_t>(s);
+    const LevelPlan::Entry& e = plan.per_slot[s];
+    if (!e.split) continue;
+    cmds[s] = hist::HistSplitCmd{
+        e.attr, static_cast<std::int32_t>(e.best_pos), e.left_id, e.right_id,
+        static_cast<std::uint8_t>(e.default_left ? 1 : 0)};
   }
   auto d_slot = detail::upload_pooled(dev_, st_.arena, slot_of_node);
-  auto d_cmds = detail::upload_pooled(dev_, st_.arena, d.cmds);
+  auto d_cmds = detail::upload_pooled(dev_, st_.arena, cmds);
   hist::update_positions(dev_, binned_.row_offsets.span(),
                          binned_.entry_attr.span(), binned_.entry_bin.span(),
                          d_slot.span(), d_cmds.span(), st_.node_of.span());
 }
 
-void HistGrower::maybe_check_counts(const LevelDecision& d) {
-  if (distributed_ || !testing::invariants_enabled()) return;
-  testing::check_instance_counts(st_.node_of.span(), d.expected_counts,
-                                 "hist_split_node");
-}
-
-void HistGrower::advance_level(const LevelDecision& d) {
+void HistGrower::advance_level(const LevelPlan& plan) {
+  if (!distributed_ && testing::invariants_enabled()) {
+    std::vector<std::pair<std::int32_t, std::int64_t>> expected;
+    for (const ActiveNode& child : plan.next_active) {
+      expected.emplace_back(child.tree_node, child.count);
+    }
+    testing::check_instance_counts(st_.node_of.span(), expected,
+                                   "hist_split_node");
+  }
   hist_prev_ = std::move(hist_cur_);
-  pair_parent_slot_ = d.next_pair_parent;
-  st_.active = d.next_active;
-  slotq_ = d.next_slotq;
+  pair_parent_slot_.clear();
+  slotq_.clear();
+  for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
+    if (!plan.per_slot[s].split) continue;
+    pair_parent_slot_.push_back(static_cast<std::int32_t>(s));
+    slotq_.push_back(child_q_[2 * s]);
+    slotq_.push_back(child_q_[2 * s + 1]);
+  }
 }
 
-void HistGrower::finish_tree() {
-  // Depth limit reached: remaining active nodes become leaves.  In the
-  // multi-GPU path only the deciding shard writes the shared tree; the
-  // stats are global on every shard, so the values are identical anyway.
-  for (const ActiveNode& node : st_.active) finalize_leaf(st_, node);
-  st_.active.clear();
+void HistGrower::end_tree() {
   hist_prev_ = device::ArenaBuffer<hist::QGH>{};
   hist_cur_ = device::ArenaBuffer<hist::QGH>{};
   pair_parent_slot_.clear();
@@ -550,22 +488,106 @@ void HistGrower::maybe_check_leaf_map(const data::Dataset& ds) {
 // GpuHistTrainer
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// One grower sequenced back-to-back on a single device.
+class HistBackend final : public detail::LevelBackend {
+ public:
+  HistBackend(HistGrower& grower, TrainState& st,
+              objective::RoundDriver& rounds,
+              const device::DeviceBuffer<float>& labels,
+              const data::Dataset& ds, PhaseTimings& modeled)
+      : grower_(grower), st_(st), rounds_(rounds), labels_(labels), ds_(ds),
+        modeled_(modeled) {}
+
+  ActiveNode begin_tree(int t, const Tree* prev, Tree& tree) override {
+    {
+      PhaseScope phase(st_.dev, modeled_.gradients);
+      obs::ScopedSpan span("gradient_compute");
+      if (prev != nullptr) detail::update_predictions_smart(st_, *prev);
+      rounds_.begin_round(st_, labels_, t);
+    }
+    // Quantize this tree's gradients so histogram accumulation is exact
+    // integer arithmetic (counted with the gradient phase).
+    hist::QGH rootq;
+    {
+      PhaseScope phase(st_.dev, modeled_.gradients);
+      obs::ScopedSpan span("gradient_compute");
+      const HistGrower::AbsMax mx = grower_.local_abs_max();
+      rootq = grower_.quantize(mx.g, mx.h, st_.n_inst);
+    }
+    return grower_.begin_tree(tree, rootq);
+  }
+
+  std::vector<detail::BestSplit> find_splits(
+      const std::vector<ActiveNode>& active) override {
+    grower_.plan_level(active);
+    {
+      PhaseScope phase(st_.dev, modeled_.find_split);
+      obs::ScopedSpan span("hist_build");
+      grower_.build_level();
+    }
+    if (grower_.has_derived()) {
+      {
+        PhaseScope phase(st_.dev, modeled_.find_split);
+        obs::ScopedSpan span("hist_subtract");
+        grower_.subtract_level();
+      }
+      grower_.maybe_verify_subtraction();
+    }
+    // ---- find the best bin boundary per node over the histograms ----------
+    PhaseScope phase(st_.dev, modeled_.find_split);
+    obs::ScopedSpan span("hist_find_split");
+    grower_.prepare_offsets();
+    grower_.run_set_keys();
+    grower_.find_level();
+    return grower_.best();
+  }
+
+  void apply(const LevelPlan& plan) override {
+    {
+      PhaseScope phase(st_.dev, modeled_.split_node);
+      obs::ScopedSpan span("hist_split_node");
+      grower_.apply_level(plan);
+    }
+    grower_.advance_level(plan);
+  }
+
+  void end_tree() override {
+    grower_.end_tree();
+    grower_.maybe_check_leaf_map(ds_);
+  }
+
+  void fold(const Tree& last) override {
+    PhaseScope phase(st_.dev, modeled_.gradients);
+    obs::ScopedSpan span("gradient_compute");
+    detail::update_predictions_smart(st_, last);
+  }
+
+ private:
+  HistGrower& grower_;
+  TrainState& st_;
+  objective::RoundDriver& rounds_;
+  const device::DeviceBuffer<float>& labels_;
+  const data::Dataset& ds_;
+  PhaseTimings& modeled_;
+};
+
+}  // namespace
+
 GpuHistTrainer::GpuHistTrainer(Device& dev, GBDTParam param)
     : dev_(dev), param_(std::move(param)), loss_(make_loss(param_.loss)) {
-  if (param_.depth < 1) throw std::invalid_argument("depth must be >= 1");
-  if (param_.n_trees < 1) throw std::invalid_argument("n_trees must be >= 1");
-  if (param_.gamma < 0) throw std::invalid_argument("gamma must be >= 0");
-  if (param_.lambda < 0) throw std::invalid_argument("lambda must be >= 0");
-  if (param_.n_bins < 1 || param_.n_bins > 4096) {
-    throw std::invalid_argument("n_bins must be in [1, 4096]");
-  }
+  validate(param_);
 }
 
 TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
+  return train(ds, TreeCallback{});
+}
+
+TrainReport GpuHistTrainer::train(const data::Dataset& ds,
+                                  const TreeCallback& on_tree) {
   const auto wall_start = std::chrono::steady_clock::now();
   obs::ScopedSpan train_span("train");
-  static obs::Counter& trees_trained =
-      obs::Registry::global().counter("gbdt_trees_trained_total");
   TrainReport report;
   report.base_score = param_.base_score;
 
@@ -580,23 +602,7 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   st.n_inst = ds.n_instances();
   st.n_attr = ds.n_attributes();
   if (st.n_inst == 0) throw std::invalid_argument("empty dataset");
-
-  const int n_bins = param_.n_bins;
-  const std::int64_t cps = st.n_attr * n_bins;  // cells per node slot
-  {
-    // Feasibility: the widest level's current + parent histograms must fit
-    // comfortably (same guard shape as the CPU baseline).
-    const double widest = std::ldexp(
-        1.0, std::min(param_.depth - 1, 24));
-    const double hist_bytes =
-        2.0 * widest * static_cast<double>(cps) * sizeof(hist::QGH);
-    if (hist_bytes >
-        static_cast<double>(dev_.config().global_mem_bytes) / 4.0) {
-      throw std::invalid_argument(
-          "hist trainer: per-level histograms would exceed a quarter of "
-          "device memory; reduce depth or n_bins");
-    }
-  }
+  validate(param_, st.n_attr, dev_.config().global_mem_bytes);
 
   dev_.allocator().reset_peak();
 
@@ -605,93 +611,18 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   {
     PhaseScope phase(dev_, report.modeled.transfer);
     obs::ScopedSpan span("hist_quantize");
-    binned = build_binned_matrix(dev_, ds, n_bins);
+    binned = build_binned_matrix(dev_, ds, param_.n_bins);
   }
 
   // ---- persistent per-instance state --------------------------------------
   objective::RoundDriver round_driver(dev_, param_, ds);
   auto d_labels = dev_.to_device<float>(ds.labels());
-  st.grad = dev_.alloc<double>(static_cast<std::size_t>(st.n_inst));
-  st.hess = dev_.alloc<double>(static_cast<std::size_t>(st.n_inst));
-  st.y_pred = dev_.alloc<float>(static_cast<std::size_t>(st.n_inst));
-  st.node_of = dev_.alloc<std::int32_t>(static_cast<std::size_t>(st.n_inst));
-  prim::fill(dev_, st.y_pred, static_cast<float>(param_.base_score));
+  detail::alloc_instance_state(st);
   HistGrower grower(dev_, param_, st, binned, /*distributed=*/false);
 
-  // ---- boosting loop -------------------------------------------------------
-  report.trees.reserve(static_cast<std::size_t>(param_.n_trees));
-  for (int t = 0; t < param_.n_trees; ++t) {
-    {
-      PhaseScope phase(dev_, report.modeled.gradients);
-      obs::ScopedSpan span("gradient_compute");
-      if (t > 0) detail::update_predictions_smart(st, report.trees.back());
-      round_driver.begin_round(st, d_labels, t);
-    }
+  HistBackend backend(grower, st, round_driver, d_labels, ds, report.modeled);
+  detail::grow_forest(param_, backend, report.trees, on_tree);
 
-    // Quantize this tree's gradients so histogram accumulation is exact
-    // integer arithmetic (counted with the gradient phase).
-    hist::QGH rootq;
-    {
-      PhaseScope phase(dev_, report.modeled.gradients);
-      obs::ScopedSpan span("gradient_compute");
-      const HistGrower::AbsMax mx = grower.local_abs_max();
-      rootq = grower.quantize(mx.g, mx.h, st.n_inst);
-    }
-    report.trees.emplace_back();
-    Tree& tree = report.trees.back();
-    grower.begin_tree(tree, rootq);
-
-    for (int level = 0; level < param_.depth && !st.active.empty(); ++level) {
-      grower.plan_level();
-      {
-        PhaseScope phase(dev_, report.modeled.find_split);
-        obs::ScopedSpan span("hist_build");
-        grower.build_level();
-      }
-      if (grower.has_derived()) {
-        {
-          PhaseScope phase(dev_, report.modeled.find_split);
-          obs::ScopedSpan span("hist_subtract");
-          grower.subtract_level();
-        }
-        grower.maybe_verify_subtraction();
-      }
-
-      // ---- find the best bin boundary per node over the histograms --------
-      {
-        PhaseScope phase(dev_, report.modeled.find_split);
-        obs::ScopedSpan span("hist_find_split");
-        grower.prepare_offsets();
-        grower.run_set_keys();
-        grower.find_level();
-      }
-
-      const HistGrower::LevelDecision decision = grower.decide_level();
-      if (decision.next_active.empty()) {
-        st.active.clear();
-        break;
-      }
-
-      {
-        PhaseScope phase(dev_, report.modeled.split_node);
-        obs::ScopedSpan span("hist_split_node");
-        grower.apply_level(decision);
-      }
-      grower.maybe_check_counts(decision);
-      grower.advance_level(decision);
-    }
-
-    grower.finish_tree();
-    grower.maybe_check_leaf_map(ds);
-    trees_trained.inc();
-  }
-
-  // Fold the last tree into the scores and return them.
-  {
-    PhaseScope phase(dev_, report.modeled.gradients);
-    obs::ScopedSpan span("gradient_compute");
-    detail::update_predictions_smart(st, report.trees.back());
-  }
   const auto final_pred = dev_.to_host(st.y_pred);
   report.train_scores.assign(final_pred.begin(), final_pred.end());
 

@@ -17,18 +17,20 @@
 // int64 fixed point, making histogram accumulation exact and the
 // histogram-subtraction trick bitwise-identical to direct accumulation.
 //
-// The per-tree/per-level machinery lives in HistGrower, a stepwise "grower"
-// the single-device trainer drives front to back and the multi-GPU trainer
-// drives in lockstep across K row shards — pausing between steps to
-// allreduce |g| maxima, quantized root sums, and the accumulated histogram
-// slots (histograms, not split candidates), after which every shard reaches
-// bitwise-identical split decisions with no further communication.
+// HistGrower holds the method's device steps for one device (one row shard
+// in the multi-GPU path).  It is not a trainer loop: the boosting driver
+// (core/boosting.h) owns the tree and level loops and the host split
+// decision, and a LevelBackend sequences the grower's steps between them.
+// GpuHistTrainer's backend runs one grower back to back; the multi-GPU
+// trainer's runs K growers in lockstep and allreduces between the steps
+// (|g| maxima, quantized root sums and the accumulated histogram slots —
+// histograms, not split candidates), so every shard finds bitwise-identical
+// best splits and shard 0's feed the one decision.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/loss.h"
@@ -74,18 +76,17 @@ struct BinnedMatrix {
 
 /// Stepwise histogram tree grower over one device (one row shard in the
 /// multi-GPU path).  The caller owns phase spans/timing scopes and sequences
-/// the steps; with `distributed` unset the sequence and kernel order are
-/// exactly the pre-refactor single-device trainer's.  `distributed` growers
-/// skip the single-device self-checks (subtraction verify, instance counts,
-/// leaf map — they assume the full row set) and the process-wide counters.
+/// the steps.  `distributed` growers skip the single-device self-checks
+/// (subtraction verify, instance counts, leaf map — they assume the full
+/// row set) and the process-wide subtraction counter.
 ///
 /// Per tree:   local_abs_max -> [max-allreduce] -> quantize ->
 ///             [sum-allreduce] -> begin_tree
 /// Per level:  plan_level -> build_level -> [histogram allreduce over
 ///             accumulated_slots, overlapping run_set_keys on a side
-///             stream] -> subtract_level -> find_level -> decide_level
-///             (one shard; identical inputs everywhere) -> apply_level ->
-///             advance_level
+///             stream] -> subtract_level -> find_level -> (host decision on
+///             best()) -> apply_level -> advance_level
+/// Tree end:   end_tree
 class HistGrower {
  public:
   HistGrower(device::Device& dev, const GBDTParam& param,
@@ -96,14 +97,6 @@ class HistGrower {
     double g = 0.0;
     double h = 0.0;
   };
-  struct LevelDecision {
-    std::vector<hist::HistSplitCmd> cmds;
-    std::vector<detail::ActiveNode> next_active;
-    std::vector<hist::QGH> next_slotq;
-    std::vector<std::int32_t> next_pair_parent;
-    // (tree node, expected instance count) for the invariant check.
-    std::vector<std::pair<std::int32_t, std::int64_t>> expected_counts;
-  };
 
   // ---- per tree -----------------------------------------------------------
   /// Largest |gradient| / |hessian| over this shard's rows.
@@ -113,12 +106,14 @@ class HistGrower {
   /// shard-local quantized root sums.
   [[nodiscard]] hist::QGH quantize(double max_abs_g, double max_abs_h,
                                    std::int64_t global_n);
-  /// Resets the per-tree state around the (globally reduced) root stats.
-  void begin_tree(Tree& tree, const hist::QGH& global_root);
+  /// Resets the per-tree state around the (globally reduced) root stats and
+  /// returns the root node.
+  detail::ActiveNode begin_tree(Tree& tree, const hist::QGH& global_root);
 
   // ---- per level ----------------------------------------------------------
-  /// Allocates this level's histograms and picks the accumulate/derive split.
-  void plan_level();
+  /// Takes the level's active nodes, allocates their histograms and picks
+  /// the accumulate/derive split.
+  void plan_level(const std::vector<detail::ActiveNode>& active);
   /// Builds the accumulated slots' histograms over this shard's rows.
   void build_level();
   /// Spans of the accumulated (directly built) histogram slots — the
@@ -139,25 +134,21 @@ class HistGrower {
   /// overlap it with the histogram allreduce.
   void run_set_keys(int stream = device::kDefaultStream);
   /// Fused scan + gain/argmax + host winner assembly over the (merged)
-  /// histograms.  Deterministic in its inputs, so shards agree bitwise.
+  /// histograms into best().  Deterministic in its inputs, so shards agree
+  /// bitwise.
   void find_level();
-  /// Host-side split decisions; mutates the shared tree.  The multi-GPU
-  /// trainer runs it on one shard and distributes the (identical) result.
-  [[nodiscard]] LevelDecision decide_level();
-  /// update_positions over this shard's rows for the decided splits.
-  void apply_level(const LevelDecision& d);
-  /// Instance-count invariant (single-device only; counts are global).
-  void maybe_check_counts(const LevelDecision& d);
-  /// Rolls slot state forward to the decided children.
-  void advance_level(const LevelDecision& d);
+  /// update_positions over this shard's rows for the planned splits.
+  void apply_level(const detail::LevelPlan& plan);
+  /// Instance-count invariant (single-device only; counts are global), then
+  /// rolls slot state forward to the planned children.
+  void advance_level(const detail::LevelPlan& plan);
 
   // ---- per tree, end ------------------------------------------------------
-  /// Finalizes the still-active nodes as leaves and clears the level state.
-  void finish_tree();
+  /// Releases the tree's histograms.
+  void end_tree();
   /// Leaf-map invariant over `ds` (single-device only).
   void maybe_check_leaf_map(const data::Dataset& ds);
 
-  [[nodiscard]] detail::TrainState& state() { return st_; }
   [[nodiscard]] const std::vector<detail::BestSplit>& best() const {
     return best_;
   }
@@ -193,8 +184,7 @@ class HistGrower {
   AccumPlan accum_;
   device::ArenaBuffer<std::int64_t> seg_offsets_;
   std::vector<detail::BestSplit> best_;
-  std::vector<hist::QGH> child_q_;
-  std::vector<hist::QGH> level_scan_;     // host copies for winner assembly
+  std::vector<hist::QGH> child_q_;  // per slot: left, right quantized stats
 };
 
 /// Histogram-method trainer on the simulated device.  Returns the same
@@ -202,9 +192,14 @@ class HistGrower {
 /// defaults — the histogram path has no RLE stage).
 class GpuHistTrainer {
  public:
+  using TreeCallback = GpuGbdtTrainer::TreeCallback;
+
   GpuHistTrainer(device::Device& dev, GBDTParam param);
 
   [[nodiscard]] TrainReport train(const data::Dataset& ds);
+  /// `on_tree` as in GpuGbdtTrainer::train (early stopping).
+  [[nodiscard]] TrainReport train(const data::Dataset& ds,
+                                  const TreeCallback& on_tree);
 
   [[nodiscard]] const GBDTParam& param() const { return param_; }
 

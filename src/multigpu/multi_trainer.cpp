@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/autotune.h"
+#include "core/boosting.h"
 #include "core/trainer_detail.h"
 #include "core/trainer_hist.h"
 #include "data/csc_matrix.h"
@@ -129,6 +130,625 @@ hist::QGH qgh_sum(const hist::QGH& a, const hist::QGH& b) {
   return r;
 }
 
+/// What a multi-GPU backend needs to build its shards.
+struct ShardSpec {
+  const device::DeviceConfig& cfg;
+  int n_devices;
+  const GBDTParam& param;
+  const Loss& loss;
+  const Interconnect& link;
+  MultiGpuOptions opts;
+};
+
+/// What both multi-GPU backends share: the shards and their labels, the
+/// report whose critical path and per-device seconds every parallel step
+/// accumulates, the communication tally, and the final prediction fold.
+class ShardedBackend : public gbdt::detail::LevelBackend {
+ public:
+  ShardedBackend(const ShardSpec& spec, MultiTrainReport& report,
+                 CommStats& comm)
+      : shards_(static_cast<std::size_t>(spec.n_devices)),
+        labels_(static_cast<std::size_t>(spec.n_devices)), report_(report),
+        comm_(comm), link_(spec.link), algo_(spec.opts.algo),
+        K_(spec.n_devices) {}
+
+  void fold(const Tree& last) override {
+    obs::ScopedSpan span("gradient_compute");
+    ParallelStep step = parallel();
+    for (auto& sh : shards_) {
+      gbdt::detail::update_predictions_smart(*sh.state, last);
+    }
+  }
+
+  /// Final raw training scores in dataset order.
+  [[nodiscard]] virtual std::vector<double> train_scores() = 0;
+  [[nodiscard]] const std::vector<Shard>& shards() const { return shards_; }
+
+ protected:
+  [[nodiscard]] ParallelStep parallel() {
+    return ParallelStep(shards_, report_.modeled_seconds,
+                        &report_.device_seconds);
+  }
+  [[nodiscard]] TrainState& state(int k) {
+    return *shards_[static_cast<std::size_t>(k)].state;
+  }
+  /// Allreduce payloads: the first n elements of every shard's record.
+  template <typename Records>
+  [[nodiscard]] static auto spans_of(Records& per_shard, std::size_t n) {
+    using T = typename Records::value_type::value_type;
+    std::vector<std::span<T>> payloads;
+    payloads.reserve(per_shard.size());
+    for (auto& r : per_shard) payloads.push_back(std::span<T>(r.data(), n));
+    return payloads;
+  }
+
+  std::vector<Shard> shards_;
+  std::vector<device::DeviceBuffer<float>> labels_;
+  MultiTrainReport& report_;
+  CommStats& comm_;
+  const Interconnect& link_;
+  const AllreduceAlgo algo_;
+  const int K_;
+};
+
+class ExactShards final : public ShardedBackend {
+ public:
+  ExactShards(const ShardSpec& spec, const data::Dataset& ds,
+              MultiTrainReport& report, CommStats& comm)
+      : ShardedBackend(spec, report, comm),
+        feature_sharded_(spec.opts.shard == ShardMode::kFeature) {
+    const int K = K_;
+    if (K > ds.n_attributes()) {
+      throw std::invalid_argument("more devices than attributes");
+    }
+    const std::int64_t n_inst = ds.n_instances();
+    const std::int64_t n_attr = ds.n_attributes();
+    const bool streams = device::stream_async_enabled();
+    // kData: attribute a lives on device a % K as local a / K.
+    // kFeature: device k owns the contiguous range [F*k/K, F*(k+1)/K).
+    {
+      obs::ScopedSpan span("shard_build");
+      for (int k = 0; k < K; ++k) {
+        auto& sh = shards_[static_cast<std::size_t>(k)];
+        sh.dev = std::make_unique<Device>(spec.cfg);
+        sh.comm_stream = streams ? sh.dev->stream() : device::kDefaultStream;
+        if (feature_sharded_) {
+          const auto r =
+              detail::chunk_range(static_cast<std::size_t>(n_attr), K, k);
+          sh.attr_lo = static_cast<std::int64_t>(r.lo);
+          sh.n_local_attrs = static_cast<std::int64_t>(r.hi - r.lo);
+        } else {
+          sh.n_local_attrs = (n_attr + (K - 1 - k)) / K;  // ceil((d - k) / K)
+        }
+        sh.state = std::make_unique<TrainState>(*sh.dev, spec.param,
+                                                spec.loss);
+        sh.state->n_inst = n_inst;
+        sh.state->n_attr = sh.n_local_attrs;
+      }
+      // Per-shard datasets with remapped attribute ids.
+      ParallelStep step(shards_, report_.modeled_seconds);
+      std::vector<data::Entry> row;
+      for (int k = 0; k < K; ++k) {
+        auto& sh = shards_[static_cast<std::size_t>(k)];
+        data::Dataset local(sh.n_local_attrs);
+        for (std::int64_t i = 0; i < n_inst; ++i) {
+          row.clear();
+          for (const auto& e : ds.instance(i)) {
+            if (feature_sharded_) {
+              if (e.attr >= sh.attr_lo &&
+                  e.attr < sh.attr_lo + sh.n_local_attrs) {
+                row.push_back(
+                    {static_cast<std::int32_t>(e.attr - sh.attr_lo), e.value});
+              }
+            } else if (e.attr % K == k) {
+              row.push_back({e.attr / K, e.value});
+            }
+          }
+          local.add_instance(row, ds.labels()[static_cast<std::size_t>(i)]);
+        }
+        auto& st = *sh.state;
+        auto csc = data::build_csc_device(*sh.dev, local);
+        st.orig_values = std::move(csc.values);
+        st.orig_inst = std::move(csc.inst_ids);
+        st.orig_seg_offsets = std::move(csc.col_offsets);
+      }
+    }
+    // Replicated per-instance state + labels on every shard.
+    {
+      obs::ScopedSpan span("shard_build");
+      ParallelStep step(shards_, report_.modeled_seconds);
+      for (int k = 0; k < K; ++k) {
+        auto& sh = shards_[static_cast<std::size_t>(k)];
+        labels_[static_cast<std::size_t>(k)] =
+            sh.dev->to_device<float>(ds.labels());
+        gbdt::detail::alloc_instance_state(*sh.state);
+      }
+    }
+    // One RoundDriver per shard: gradients are replicated (every shard
+    // holds the full row set), the feature bag is drawn from the global
+    // attribute space and remapped to each shard's local ids — so the
+    // allreduced winner matches what a single device with the same bag
+    // would pick.
+    rounds_.reserve(static_cast<std::size_t>(K));
+    for (int k = 0; k < K; ++k) {
+      rounds_.push_back(std::make_unique<objective::RoundDriver>(
+          *shards_[static_cast<std::size_t>(k)].dev, spec.param, ds, K, k,
+          feature_sharded_ ? objective::ShardAttrMap::kContiguous
+                           : objective::ShardAttrMap::kRoundRobin));
+    }
+  }
+
+  std::vector<double> train_scores() override {
+    // Predictions are replicated; report shard 0's.
+    const auto pred = shards_[0].dev->to_host(shards_[0].state->y_pred);
+    return {pred.begin(), pred.end()};
+  }
+
+  ActiveNode begin_tree(int t, const Tree* prev, Tree& tree) override {
+    {
+      obs::ScopedSpan span("gradient_compute");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) {
+        auto& st = state(k);
+        if (prev != nullptr) {
+          gbdt::detail::update_predictions_smart(st, *prev);
+        }
+        rounds_[static_cast<std::size_t>(k)]->begin_round(
+            st, labels_[static_cast<std::size_t>(k)], t);
+        gbdt::detail::reset_working_layout(st);
+      }
+    }
+    std::vector<std::array<double, 2>> root_stats(
+        static_cast<std::size_t>(K_));
+    {
+      ParallelStep step = parallel();
+      // Every shard reduces its replicated gradients (bitwise-identical
+      // values), then the collective spreads/validates them — semantically
+      // a broadcast, expressed as an allreduce with max (idempotent here).
+      for (int k = 0; k < K_; ++k) {
+        auto& sh = shards_[static_cast<std::size_t>(k)];
+        root_stats[static_cast<std::size_t>(k)] = std::array<double, 2>{
+            prim::reduce_sum<double>(*sh.dev, sh.state->grad,
+                                     "mgpu_root_sum_g"),
+            prim::reduce_sum<double>(*sh.dev, sh.state->hess,
+                                     "mgpu_root_sum_h")};
+      }
+    }
+    if (K_ > 1) {
+      obs::ScopedSpan span("allreduce_merge");
+      ParallelStep step = parallel();
+      auto links = make_links(shards_);
+      auto payloads = spans_of(root_stats, 2);
+      comm_.add_collective(allreduce<double>(
+          "comm_root", link_, algo_, links, payloads,
+          [](double a, double b) { return std::max(a, b); }));
+    }
+    for (auto& sh : shards_) sh.state->tree = &tree;
+    ActiveNode root;
+    root.sum_g = root_stats[0][0];
+    root.sum_h = root_stats[0][1];
+    root.count = state(0).n_inst;
+    return root;
+  }
+
+  std::vector<BestSplit> find_splits(
+      const std::vector<ActiveNode>& active) override {
+    for (auto& sh : shards_) sh.state->active = active;
+    // 1. Local best splits per shard.
+    std::vector<std::vector<BestSplit>> cand(static_cast<std::size_t>(K_));
+    {
+      obs::ScopedSpan span("find_split");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) {
+        cand[static_cast<std::size_t>(k)] =
+            gbdt::detail::find_splits_sparse(state(k));
+      }
+    }
+    // 2. Allreduce the candidates: attribute ids are globalised first, so
+    //    the combine (max gain, ties to the lowest global attribute — the
+    //    same order a single device enumerates) is order-independent and
+    //    every algorithm converges on the same winner bit for bit.
+    obs::ScopedSpan span("allreduce_merge");
+    ParallelStep step = parallel();
+    for (int k = 0; k < K_; ++k) {
+      const auto& sh = shards_[static_cast<std::size_t>(k)];
+      for (auto& c : cand[static_cast<std::size_t>(k)]) {
+        if (!c.valid) continue;
+        c.attr = feature_sharded_
+                     ? static_cast<std::int32_t>(sh.attr_lo) + c.attr
+                     : c.attr * K_ + k;
+      }
+    }
+    auto links = make_links(shards_);
+    auto payloads = spans_of(cand, active.size());
+    comm_.add_collective(allreduce<BestSplit>(
+        "comm_cand", link_, algo_, links, payloads,
+        [](const BestSplit& a, const BestSplit& b) {
+          if (!b.valid) return a;
+          if (!a.valid) return b;
+          if (b.gain > a.gain) return b;
+          if (b.gain == a.gain && b.attr < a.attr) return b;
+          return a;
+        }));
+    owner_.assign(active.size(), -1);
+    for (std::size_t s = 0; s < active.size(); ++s) {
+      if (cand[0][s].valid) owner_[s] = owner_of_attr(cand[0][s].attr);
+    }
+    return std::move(cand[0]);
+  }
+
+  void apply(const LevelPlan& plan) override {
+    const auto& active = state(0).active;
+    // Authoritative-shard table keyed by the *new* child ids: both children
+    // inherit their slot's winning shard, so the post-split instance->node
+    // value alone selects the owner — no pre-split snapshot of the map is
+    // needed.
+    std::vector<std::int32_t> owner_of_node(
+        static_cast<std::size_t>(state(0).tree->n_nodes()), -1);
+    // 3. Mark instance sides: every shard applies the defaults; only the
+    //    owner of a node's winning attribute knows the exact sides (the
+    //    winner's segment/position are shard-local).
+    std::vector<LevelPlan> shard_plans(static_cast<std::size_t>(K_), plan);
+    for (std::size_t s = 0; s < active.size(); ++s) {
+      const auto& e = plan.per_slot[s];
+      if (!e.split) continue;
+      owner_of_node[static_cast<std::size_t>(e.left_id)] = owner_[s];
+      owner_of_node[static_cast<std::size_t>(e.right_id)] = owner_[s];
+      for (int k = 0; k < K_; ++k) {
+        if (k == owner_[s]) continue;
+        auto& ek = shard_plans[static_cast<std::size_t>(k)].per_slot[s];
+        ek.chosen_seg = -1;
+        ek.best_pos = -1;
+      }
+    }
+    {
+      obs::ScopedSpan span("mark_sides");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) {
+        gbdt::detail::apply_mark_sides_sparse(
+            state(k), shard_plans[static_cast<std::size_t>(k)]);
+      }
+    }
+    if (K_ > 1) sync_node_of(plan, active, owner_of_node);
+    // 5. Local order-preserving partition of every shard's lists.
+    obs::ScopedSpan span("partition");
+    ParallelStep step = parallel();
+    for (int k = 0; k < K_; ++k) {
+      gbdt::detail::apply_partition_sparse(
+          state(k), shard_plans[static_cast<std::size_t>(k)]);
+    }
+  }
+
+ private:
+  /// Maps a winning global attribute back to the shard that owns it.
+  [[nodiscard]] int owner_of_attr(std::int32_t attr) const {
+    if (!feature_sharded_) return static_cast<int>(attr % K_);
+    int w = 0;
+    while (w + 1 < K_ &&
+           attr >= shards_[static_cast<std::size_t>(w + 1)].attr_lo) {
+      ++w;
+    }
+    return w;
+  }
+
+  /// 4. Synchronises node_of: instance i's authoritative value lives on the
+  ///    shard owning its (new) node's winning attribute.  Each shard
+  ///    receives one modeled leg per winning peer carrying that peer's
+  ///    rows, then a device kernel gathers the rows in place.
+  void sync_node_of(const LevelPlan& plan,
+                    const std::vector<ActiveNode>& active,
+                    const std::vector<std::int32_t>& owner_of_node) {
+    obs::ScopedSpan span("node_sync");
+    ParallelStep step = parallel();
+    std::vector<std::uint64_t> rows_of_winner(static_cast<std::size_t>(K_),
+                                              0);
+    for (std::size_t s = 0; s < active.size(); ++s) {
+      if (plan.per_slot[s].split && owner_[s] >= 0) {
+        rows_of_winner[static_cast<std::size_t>(owner_[s])] +=
+            static_cast<std::uint64_t>(active[s].count);
+      }
+    }
+    auto links = make_links(shards_);
+    std::vector<double> shard_secs(static_cast<std::size_t>(K_), 0.0);
+    for (int k = 0; k < K_; ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      bool waited = false;
+      auto dst = state(k).node_of.span();
+      for (int w = 0; w < K_; ++w) {
+        if (w == k || rows_of_winner[static_cast<std::size_t>(w)] == 0) {
+          continue;
+        }
+        const std::uint64_t bytes =
+            rows_of_winner[static_cast<std::size_t>(w)] * sizeof(std::int32_t);
+        const double secs = link_.leg_seconds(bytes);
+        detail::enqueue_leg(links[ku], waited, "stream_mgpu_node_sync", secs,
+                            bytes, dst, detail::ChunkRange{0, 0},
+                            detail::ChunkRange{0, dst.size()});
+        comm_.bytes += bytes;
+        ++comm_.messages;
+        shard_secs[ku] += secs;
+      }
+    }
+    comm_.seconds += *std::max_element(shard_secs.begin(), shard_secs.end());
+    // Device-side masked gather replacing the old host-side O(K·n) merge
+    // loop: w = owner_of_node[node_of[i]] picks the shard whose mark_sides
+    // result is authoritative for row i.  Winner shards never rewrite their
+    // own rows, so cross-device kernel order is free — and the default
+    // stream joins each shard's comm legs.
+    std::vector<std::span<const std::int32_t>> peers(
+        static_cast<std::size_t>(K_));
+    for (int w = 0; w < K_; ++w) {
+      peers[static_cast<std::size_t>(w)] = state(w).node_of.span();
+    }
+    for (int k = 0; k < K_; ++k) {
+      auto& sh = shards_[static_cast<std::size_t>(k)];
+      auto& st = *sh.state;
+      auto d_owner =
+          gbdt::detail::upload_pooled(*sh.dev, st.arena, owner_of_node);
+      auto nof = st.node_of.span();
+      auto own = d_owner.span();
+      const std::int64_t n = st.n_inst;
+      const int me = k;
+      sh.dev->launch(
+          "mgpu_node_merge", device::grid_for(n, prim::kBlockDim),
+          prim::kBlockDim, [&](device::BlockCtx& b) {
+            b.for_each_thread([&](std::int64_t i) {
+              if (i >= n) return;
+              const auto u = static_cast<std::size_t>(i);
+              const std::int32_t c = nof[u];
+              const int w = own[static_cast<std::size_t>(c)];
+              if (w >= 0 && w != me) {
+                nof[u] = peers[static_cast<std::size_t>(w)][u];
+              }
+            });
+            b.reads_tile(nof, n);
+            b.writes_tile(nof, n);
+            b.reads(own, 0, static_cast<std::int64_t>(own.size()));
+            const std::uint64_t m = prim::elems_in_block(b, n);
+            b.work(m);
+            // own node read + peer gather + masked write
+            b.mem_coalesced(m * 3 * sizeof(std::int32_t));
+          });
+    }
+  }
+
+  const bool feature_sharded_;
+  std::vector<std::unique_ptr<objective::RoundDriver>> rounds_;
+  std::vector<int> owner_;  // winning shard per active slot, this level
+};
+
+/// Histogram method over row shards: K growers in lockstep, allreducing the
+/// quantization inputs per tree and the accumulated histogram slots per
+/// level, so every shard finds bitwise-identical best splits and shard 0's
+/// feed the one decision.
+class HistShards final : public ShardedBackend {
+ public:
+  HistShards(const ShardSpec& spec, const data::Dataset& ds,
+             MultiTrainReport& report, CommStats& comm)
+      : ShardedBackend(spec, report, comm), n_inst_(ds.n_instances()) {
+    const int K = K_;
+    const GBDTParam& param = spec.param;
+    if (static_cast<std::int64_t>(K) > n_inst_) {
+      throw std::invalid_argument("more devices than instances");
+    }
+    if (param.subsample < 1.0 || param.feature_bag != 0) {
+      throw std::invalid_argument(
+          "multi-GPU hist: row/feature sampling is not supported (shards "
+          "own row ranges; a per-tree row mask would unbalance them)");
+    }
+    if (param.objective == ObjectiveKind::kRanking) {
+      throw std::invalid_argument(
+          "multi-GPU hist: ranking objectives need query groups spanning "
+          "shards; train single-device instead");
+    }
+    const std::int64_t n_attr = ds.n_attributes();
+    // Histogram slots replicate per shard, so the single-device bound holds.
+    validate(param, n_attr, spec.cfg.global_mem_bytes);
+    const bool streams = device::stream_async_enabled();
+
+    // ---- row shards binned against the *global* quantile cuts -------------
+    binned_.resize(static_cast<std::size_t>(K));
+    {
+      obs::ScopedSpan span("shard_build");
+      const std::vector<hist::BinCuts> cuts =
+          build_hist_cuts(ds, param.n_bins);
+      for (int k = 0; k < K; ++k) {
+        auto& sh = shards_[static_cast<std::size_t>(k)];
+        sh.dev = std::make_unique<Device>(spec.cfg);
+        if (streams) {
+          sh.comm_stream = sh.dev->stream();
+          sh.compute_stream = sh.dev->stream();
+        }
+        const auto r =
+            detail::chunk_range(static_cast<std::size_t>(n_inst_), K, k);
+        sh.row_lo = static_cast<std::int64_t>(r.lo);
+        sh.row_hi = static_cast<std::int64_t>(r.hi);
+        sh.state = std::make_unique<TrainState>(*sh.dev, param, spec.loss);
+        sh.state->n_inst = sh.row_hi - sh.row_lo;
+        sh.state->n_attr = n_attr;
+      }
+      ParallelStep step(shards_, report_.modeled_seconds);
+      for (int k = 0; k < K; ++k) {
+        auto& sh = shards_[static_cast<std::size_t>(k)];
+        data::Dataset local(n_attr);
+        std::vector<data::Entry> row;
+        for (std::int64_t i = sh.row_lo; i < sh.row_hi; ++i) {
+          const auto inst = ds.instance(i);
+          row.assign(inst.begin(), inst.end());
+          local.add_instance(row, ds.labels()[static_cast<std::size_t>(i)]);
+        }
+        binned_[static_cast<std::size_t>(k)] =
+            build_binned_matrix(*sh.dev, local, param.n_bins, cuts);
+        labels_[static_cast<std::size_t>(k)] =
+            sh.dev->to_device<float>(local.labels());
+        gbdt::detail::alloc_instance_state(*sh.state);
+      }
+    }
+    growers_.reserve(static_cast<std::size_t>(K));
+    for (int k = 0; k < K; ++k) {
+      auto& sh = shards_[static_cast<std::size_t>(k)];
+      growers_.emplace_back(*sh.dev, param, *sh.state,
+                            binned_[static_cast<std::size_t>(k)],
+                            /*distributed=*/true);
+    }
+  }
+
+  std::vector<double> train_scores() override {
+    // Concatenate the row ranges back into dataset order.
+    std::vector<double> scores;
+    scores.reserve(static_cast<std::size_t>(n_inst_));
+    for (auto& sh : shards_) {
+      const auto pred = sh.dev->to_host(sh.state->y_pred);
+      scores.insert(scores.end(), pred.begin(), pred.end());
+    }
+    return scores;
+  }
+
+  ActiveNode begin_tree(int /*t*/, const Tree* prev, Tree& tree) override {
+    {
+      obs::ScopedSpan span("gradient_compute");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) {
+        auto& st = state(k);
+        if (prev != nullptr) {
+          gbdt::detail::update_predictions_smart(st, *prev);
+        }
+        gbdt::detail::compute_gradients(st,
+                                        labels_[static_cast<std::size_t>(k)]);
+      }
+    }
+    // Quantization scales must agree across shards: allreduce the |g|/|h|
+    // maxima (max) and the quantized root sums (+) so every shard holds the
+    // global values the single-device trainer would compute.
+    std::vector<std::array<double, 2>> maxima(static_cast<std::size_t>(K_));
+    {
+      obs::ScopedSpan span("gradient_compute");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) {
+        const auto mx = grower(k).local_abs_max();
+        maxima[static_cast<std::size_t>(k)] = std::array<double, 2>{mx.g, mx.h};
+      }
+    }
+    if (K_ > 1) {
+      obs::ScopedSpan span("allreduce_merge");
+      ParallelStep step = parallel();
+      auto links = make_links(shards_);
+      auto payloads = spans_of(maxima, 2);
+      comm_.add_collective(allreduce<double>(
+          "comm_absmax", link_, algo_, links, payloads,
+          [](double a, double b) { return std::max(a, b); }));
+    }
+    std::vector<std::array<hist::QGH, 1>> rootq(static_cast<std::size_t>(K_));
+    {
+      obs::ScopedSpan span("gradient_compute");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) {
+        rootq[static_cast<std::size_t>(k)][0] =
+            grower(k).quantize(maxima[0][0], maxima[0][1], n_inst_);
+      }
+    }
+    if (K_ > 1) {
+      obs::ScopedSpan span("allreduce_merge");
+      ParallelStep step = parallel();
+      auto links = make_links(shards_);
+      auto payloads = spans_of(rootq, 1);
+      comm_.add_collective(allreduce<hist::QGH>("comm_rootq", link_, algo_,
+                                               links, payloads, qgh_sum));
+    }
+    ActiveNode root;
+    ParallelStep step = parallel();
+    for (int k = 0; k < K_; ++k) root = grower(k).begin_tree(tree, rootq[0][0]);
+    return root;
+  }
+
+  std::vector<BestSplit> find_splits(
+      const std::vector<ActiveNode>& active) override {
+    for (int k = 0; k < K_; ++k) grower(k).plan_level(active);
+    {
+      obs::ScopedSpan span("hist_build");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) grower(k).build_level();
+    }
+    // Segment offsets + key buffer ride the default stream and must be
+    // enqueued *before* the comm legs (a later default-stream op would
+    // serialise behind them).
+    {
+      obs::ScopedSpan span("hist_find_split");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) grower(k).prepare_offsets();
+    }
+    {
+      // Histogram allreduce (one collective per accumulated slot, payload
+      // = that slot's cps cells) overlapping the SetKey build: the comm
+      // legs ride each shard's comm stream behind an event recorded after
+      // hist_build, while set_keys runs on the compute stream — the race
+      // detector sees both schedules, the device clocks overlap them.
+      obs::ScopedSpan span("allreduce_merge");
+      ParallelStep step = parallel();
+      if (K_ > 1) merge_histograms();
+      for (int k = 0; k < K_; ++k) {
+        grower(k).run_set_keys(
+            shards_[static_cast<std::size_t>(k)].compute_stream);
+      }
+    }
+    if (grower(0).has_derived()) {
+      obs::ScopedSpan span("hist_subtract");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) grower(k).subtract_level();
+    }
+    {
+      obs::ScopedSpan span("hist_find_split");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) grower(k).find_level();
+    }
+    // The histograms and slot stats are global, so every shard's winners
+    // are identical by construction: no decision broadcast is modeled.
+    return grower(0).best();
+  }
+
+  void apply(const LevelPlan& plan) override {
+    {
+      obs::ScopedSpan span("hist_split_node");
+      ParallelStep step = parallel();
+      for (int k = 0; k < K_; ++k) grower(k).apply_level(plan);
+    }
+    for (int k = 0; k < K_; ++k) grower(k).advance_level(plan);
+  }
+
+  void end_tree() override {
+    for (int k = 0; k < K_; ++k) grower(k).end_tree();
+  }
+
+ private:
+  [[nodiscard]] HistGrower& grower(int k) {
+    return growers_[static_cast<std::size_t>(k)];
+  }
+
+  void merge_histograms() {
+    auto links = make_links(shards_);
+    std::vector<std::vector<std::span<hist::QGH>>> slots(
+        static_cast<std::size_t>(K_));
+    for (int k = 0; k < K_; ++k) {
+      slots[static_cast<std::size_t>(k)] = grower(k).accumulated_slots();
+    }
+    AllreduceReport rep;
+    std::vector<std::span<hist::QGH>> payloads(static_cast<std::size_t>(K_));
+    for (std::size_t j = 0; j < slots[0].size(); ++j) {
+      for (int k = 0; k < K_; ++k) {
+        payloads[static_cast<std::size_t>(k)] =
+            slots[static_cast<std::size_t>(k)][j];
+      }
+      rep += allreduce<hist::QGH>("comm_hist", link_, algo_, links, payloads,
+                                  qgh_sum);
+    }
+    comm_.add_collective(rep);
+  }
+
+  const std::int64_t n_inst_;
+  std::vector<BinnedMatrix> binned_;
+  std::vector<HistGrower> growers_;
+};
+
 }  // namespace
 
 struct MultiGpuTrainer::Impl {
@@ -143,33 +763,14 @@ struct MultiGpuTrainer::Impl {
        MultiGpuOptions o)
       : cfg(std::move(c)), n_devices(n), param(std::move(p)), link(l),
         opts(o), loss(make_loss(param.loss)) {
+    validate(param);
     if (n_devices < 1) throw std::invalid_argument("need >= 1 device");
     // The multi-GPU exact path shards by attribute over the sparse layout.
     param.use_rle = false;
     param.force_rle = false;
   }
 
-  [[nodiscard]] MultiTrainReport train_exact(const data::Dataset& ds);
-  [[nodiscard]] MultiTrainReport train_hist(const data::Dataset& ds);
-
-  void finish_comm(MultiTrainReport& report, const CommStats& comm,
-                   const std::vector<Shard>& shards) const {
-    static obs::Counter& comm_bytes_total =
-        obs::Registry::global().counter("gbdt_mgpu_comm_bytes_total");
-    static obs::Gauge& overlap_gauge =
-        obs::Registry::global().gauge("gbdt_mgpu_comm_overlap_ratio");
-    comm_bytes_total.inc(comm.bytes);
-    report.comm_seconds = comm.seconds;
-    report.allreduce_seconds = comm.allreduce_seconds;
-    report.comm_bytes = comm.bytes;
-    report.comm_messages = comm.messages;
-    double overlap = 0.0;
-    for (const auto& sh : shards) {
-      overlap = std::max(overlap, sh.dev->overlap_ratio());
-    }
-    report.comm_overlap_ratio = overlap;
-    overlap_gauge.set(overlap);
-  }
+  [[nodiscard]] MultiTrainReport train(const data::Dataset& ds);
 };
 
 MultiGpuTrainer::MultiGpuTrainer(device::DeviceConfig cfg, int n_devices,
@@ -189,747 +790,44 @@ MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
         autotune::tune(impl_->cfg, autotune::problem_shape(ds), impl_->param),
         impl_->param);
   }
-  return impl_->param.use_hist_trainer ? impl_->train_hist(ds)
-                                       : impl_->train_exact(ds);
+  return impl_->train(ds);
 }
 
-// ---------------------------------------------------------------------------
-// Exact method: column shards (round-robin or contiguous ranges).
-// ---------------------------------------------------------------------------
-
-MultiTrainReport MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds) {
+MultiTrainReport MultiGpuTrainer::Impl::train(const data::Dataset& ds) {
+  static obs::Counter& comm_bytes_total =
+      obs::Registry::global().counter("gbdt_mgpu_comm_bytes_total");
+  static obs::Gauge& overlap_gauge =
+      obs::Registry::global().gauge("gbdt_mgpu_comm_overlap_ratio");
   obs::ScopedSpan train_span("mgpu_train");
   const auto wall_start = std::chrono::steady_clock::now();
-  const int K = n_devices;
   if (ds.n_instances() == 0) throw std::invalid_argument("empty dataset");
-  if (K > ds.n_attributes()) {
-    throw std::invalid_argument("more devices than attributes");
-  }
-  const std::int64_t n_inst = ds.n_instances();
-  const std::int64_t n_attr = ds.n_attributes();
-  const bool feature_sharded = opts.shard == ShardMode::kFeature;
-  const bool streams = device::stream_async_enabled();
 
   MultiTrainReport report;
   report.base_score = param.base_score;
-  report.device_seconds.assign(static_cast<std::size_t>(K), 0.0);
+  report.device_seconds.assign(static_cast<std::size_t>(n_devices), 0.0);
   CommStats comm;
-
-  // ---- build shards --------------------------------------------------------
-  // kData: attribute a lives on device a % K as local a / K.
-  // kFeature: device k owns the contiguous range [F*k/K, F*(k+1)/K).
-  std::vector<Shard> shards(static_cast<std::size_t>(K));
-  {
-    obs::ScopedSpan span("shard_build");
-    for (int k = 0; k < K; ++k) {
-      auto& sh = shards[static_cast<std::size_t>(k)];
-      sh.dev = std::make_unique<Device>(cfg);
-      sh.comm_stream =
-          streams ? sh.dev->stream() : device::kDefaultStream;
-      if (feature_sharded) {
-        const auto r = detail::chunk_range(
-            static_cast<std::size_t>(n_attr), K, k);
-        sh.attr_lo = static_cast<std::int64_t>(r.lo);
-        sh.n_local_attrs = static_cast<std::int64_t>(r.hi - r.lo);
-      } else {
-        sh.n_local_attrs = (n_attr + (K - 1 - k)) / K;  // ceil((d - k) / K)
-      }
-      sh.state = std::make_unique<TrainState>(*sh.dev, param, *loss);
-      sh.state->n_inst = n_inst;
-      sh.state->n_attr = sh.n_local_attrs;
-    }
-    // Per-shard datasets with remapped attribute ids.
-    ParallelStep step(shards, report.modeled_seconds);
-    std::vector<data::Entry> row;
-    for (int k = 0; k < K; ++k) {
-      auto& sh = shards[static_cast<std::size_t>(k)];
-      data::Dataset local(sh.n_local_attrs);
-      for (std::int64_t i = 0; i < n_inst; ++i) {
-        row.clear();
-        for (const auto& e : ds.instance(i)) {
-          if (feature_sharded) {
-            if (e.attr >= sh.attr_lo && e.attr < sh.attr_lo + sh.n_local_attrs) {
-              row.push_back(
-                  {static_cast<std::int32_t>(e.attr - sh.attr_lo), e.value});
-            }
-          } else if (e.attr % K == k) {
-            row.push_back({e.attr / K, e.value});
-          }
-        }
-        local.add_instance(row, ds.labels()[static_cast<std::size_t>(i)]);
-      }
-      auto& st = *sh.state;
-      auto csc = data::build_csc_device(*sh.dev, local);
-      st.orig_values = std::move(csc.values);
-      st.orig_inst = std::move(csc.inst_ids);
-      st.orig_seg_offsets = std::move(csc.col_offsets);
-    }
+  const ShardSpec spec{cfg, n_devices, param, *loss, link, opts};
+  // Exact: column shards (round-robin or contiguous ranges).  Hist: row
+  // shards, global cuts, per-level histogram allreduce.
+  std::unique_ptr<ShardedBackend> backend;
+  if (param.use_hist_trainer) {
+    backend = std::make_unique<HistShards>(spec, ds, report, comm);
+  } else {
+    backend = std::make_unique<ExactShards>(spec, ds, report, comm);
   }
+  gbdt::detail::grow_forest(param, *backend, report.trees);
+  report.train_scores = backend->train_scores();
 
-  // Replicated per-instance state + labels on every shard.
-  std::vector<device::DeviceBuffer<float>> labels(static_cast<std::size_t>(K));
-  {
-    obs::ScopedSpan span("shard_build");
-    ParallelStep step(shards, report.modeled_seconds);
-    for (int k = 0; k < K; ++k) {
-      auto& sh = shards[static_cast<std::size_t>(k)];
-      auto& st = *sh.state;
-      labels[static_cast<std::size_t>(k)] =
-          sh.dev->to_device<float>(ds.labels());
-      st.grad = sh.dev->alloc<double>(static_cast<std::size_t>(n_inst));
-      st.hess = sh.dev->alloc<double>(static_cast<std::size_t>(n_inst));
-      st.y_pred = sh.dev->alloc<float>(static_cast<std::size_t>(n_inst));
-      st.node_of = sh.dev->alloc<std::int32_t>(static_cast<std::size_t>(n_inst));
-      prim::fill(*sh.dev, st.y_pred, static_cast<float>(param.base_score));
-    }
+  comm_bytes_total.inc(comm.bytes);
+  report.comm_seconds = comm.seconds;
+  report.allreduce_seconds = comm.allreduce_seconds;
+  report.comm_bytes = comm.bytes;
+  report.comm_messages = comm.messages;
+  for (const auto& sh : backend->shards()) {
+    report.comm_overlap_ratio =
+        std::max(report.comm_overlap_ratio, sh.dev->overlap_ratio());
   }
-
-  report.trees.reserve(static_cast<std::size_t>(param.n_trees));
-  std::vector<std::int32_t> owner_of_node;  // winning shard per *child* node
-
-  // One RoundDriver per shard: gradients are replicated (every shard holds
-  // the full row set), the feature bag is drawn from the global attribute
-  // space and remapped to each shard's local ids — so the allreduced winner
-  // matches what a single device with the same bag would pick.
-  std::vector<std::unique_ptr<objective::RoundDriver>> drivers;
-  drivers.reserve(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k) {
-    drivers.push_back(std::make_unique<objective::RoundDriver>(
-        *shards[static_cast<std::size_t>(k)].dev, param, ds, K, k,
-        feature_sharded ? objective::ShardAttrMap::kContiguous
-                        : objective::ShardAttrMap::kRoundRobin));
-  }
-
-  // Maps a winning global attribute back to the shard that owns it.
-  const auto owner_of_attr = [&](std::int32_t attr) {
-    if (!feature_sharded) return static_cast<int>(attr % K);
-    int w = 0;
-    while (w + 1 < K &&
-           attr >= shards[static_cast<std::size_t>(w + 1)].attr_lo) {
-      ++w;
-    }
-    return w;
-  };
-
-  for (int t = 0; t < param.n_trees; ++t) {
-    {
-      obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        auto& st = *shards[static_cast<std::size_t>(k)].state;
-        if (t > 0) gbdt::detail::update_predictions_smart(st, report.trees.back());
-        drivers[static_cast<std::size_t>(k)]->begin_round(
-            st, labels[static_cast<std::size_t>(k)], t);
-        gbdt::detail::reset_working_layout(st);
-      }
-    }
-
-    report.trees.emplace_back();
-    Tree& tree = report.trees.back();
-
-    ActiveNode root;
-    root.tree_node = 0;
-    std::vector<std::array<double, 2>> root_stats(
-        static_cast<std::size_t>(K));
-    {
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      // Every shard reduces its replicated gradients (bitwise-identical
-      // values), then the collective spreads/validates them — semantically a
-      // broadcast, expressed as an allreduce with max (idempotent here).
-      for (int k = 0; k < K; ++k) {
-        auto& sh = shards[static_cast<std::size_t>(k)];
-        root_stats[static_cast<std::size_t>(k)] = std::array<double, 2>{
-            prim::reduce_sum<double>(*sh.dev, sh.state->grad,
-                                     "mgpu_root_sum_g"),
-            prim::reduce_sum<double>(*sh.dev, sh.state->hess,
-                                     "mgpu_root_sum_h")};
-      }
-    }
-    if (K > 1) {
-      obs::ScopedSpan span("allreduce_merge");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      auto links = make_links(shards);
-      std::vector<std::span<double>> payloads;
-      payloads.reserve(static_cast<std::size_t>(K));
-      for (auto& rs : root_stats) payloads.push_back(std::span<double>(rs));
-      comm.add_collective(allreduce<double>(
-          "comm_root", link, opts.algo, links, payloads,
-          [](double a, double b) { return std::max(a, b); }));
-    }
-    root.sum_g = root_stats[0][0];
-    root.sum_h = root_stats[0][1];
-    root.count = n_inst;
-
-    std::vector<ActiveNode> active{root};
-    for (auto& sh : shards) {
-      sh.state->tree = &tree;
-      sh.state->active = active;
-    }
-
-    for (int level = 0; level < param.depth && !active.empty(); ++level) {
-      // 1. Local best splits per shard.
-      std::vector<std::vector<BestSplit>> local(static_cast<std::size_t>(K));
-      {
-        obs::ScopedSpan span("find_split");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          local[static_cast<std::size_t>(k)] =
-              gbdt::detail::find_splits_sparse(*shards[static_cast<std::size_t>(k)].state);
-        }
-      }
-
-      // 2. Allreduce the candidates: attribute ids are globalised first, so
-      //    the combine (max gain, ties to the lowest global attribute — the
-      //    same order a single device enumerates) is order-independent and
-      //    every algorithm converges on the same winner bit for bit.
-      std::vector<BestSplit> best;
-      std::vector<int> owner(active.size(), -1);
-      {
-        obs::ScopedSpan span("allreduce_merge");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        std::vector<std::vector<BestSplit>> cand(local);
-        for (int k = 0; k < K; ++k) {
-          auto& sh = shards[static_cast<std::size_t>(k)];
-          for (auto& c : cand[static_cast<std::size_t>(k)]) {
-            if (!c.valid) continue;
-            c.attr = feature_sharded
-                         ? static_cast<std::int32_t>(sh.attr_lo) + c.attr
-                         : c.attr * K + k;
-          }
-        }
-        auto links = make_links(shards);
-        std::vector<std::span<BestSplit>> payloads;
-        payloads.reserve(static_cast<std::size_t>(K));
-        for (auto& c : cand) payloads.push_back(std::span<BestSplit>(c));
-        comm.add_collective(allreduce<BestSplit>(
-            "comm_cand", link, opts.algo, links, payloads,
-            [](const BestSplit& a, const BestSplit& b) {
-              if (!b.valid) return a;
-              if (!a.valid) return b;
-              if (b.gain > a.gain) return b;
-              if (b.gain == a.gain && b.attr < a.attr) return b;
-              return a;
-            }));
-        best = std::move(cand[0]);
-        for (std::size_t s = 0; s < active.size(); ++s) {
-          if (best[s].valid) owner[s] = owner_of_attr(best[s].attr);
-        }
-      }
-
-      // 3. Host-side split decisions (same logic as the single-GPU loop).
-      LevelPlan plan;
-      plan.per_slot.resize(active.size());
-      std::vector<std::array<std::int32_t, 3>> child_owners;  // (l, r, owner)
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        const ActiveNode& node = active[s];
-        const BestSplit& b = best[s];
-        auto& tn = tree.node(node.tree_node);
-        tn.n_instances = node.count;
-        tn.sum_g = node.sum_g;
-        tn.sum_h = node.sum_h;
-        if (b.valid && b.gain > param.gamma) {
-          const auto [l, r] = tree.split(node.tree_node, b.attr,
-                                         b.split_value, b.default_left,
-                                         b.gain);
-          auto& e = plan.per_slot[s];
-          e.split = true;
-          e.chosen_seg = b.seg;  // shard-local; cleared for non-owners below
-          e.best_pos = b.pos;
-          e.left_id = l;
-          e.right_id = r;
-          e.default_left = b.default_left;
-          child_owners.push_back({l, r, owner[s]});
-          ActiveNode left = b.left;
-          left.tree_node = l;
-          ActiveNode right = b.right;
-          right.tree_node = r;
-          plan.next_active.push_back(left);
-          plan.next_active.push_back(right);
-        } else {
-          auto& leaf = tree.node(node.tree_node);
-          leaf.weight =
-              param.eta * leaf_weight(node.sum_g, node.sum_h, param.lambda);
-        }
-      }
-      if (plan.next_active.empty()) {
-        active.clear();
-        break;
-      }
-      plan.next_slot_of_tree.assign(static_cast<std::size_t>(tree.n_nodes()),
-                                    -1);
-      for (std::size_t k2 = 0; k2 < plan.next_active.size(); ++k2) {
-        plan.next_slot_of_tree[static_cast<std::size_t>(
-            plan.next_active[k2].tree_node)] = static_cast<std::int32_t>(k2);
-      }
-      // Authoritative-shard table keyed by the *new* child ids: both
-      // children inherit their slot's winning shard, so the post-split
-      // instance->node value alone selects the owner — no pre-split
-      // snapshot of the map is needed.
-      owner_of_node.assign(static_cast<std::size_t>(tree.n_nodes()), -1);
-      for (const auto& [l, r, w] : child_owners) {
-        owner_of_node[static_cast<std::size_t>(l)] = w;
-        owner_of_node[static_cast<std::size_t>(r)] = w;
-      }
-
-      // 4. Mark instance sides: every shard applies the defaults; only the
-      //    owner of a node's winning attribute knows the exact sides.
-      std::vector<LevelPlan> shard_plans(static_cast<std::size_t>(K), plan);
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        if (!plan.per_slot[s].split) continue;
-        for (int k = 0; k < K; ++k) {
-          if (k != owner[s]) {
-            auto& e = shard_plans[static_cast<std::size_t>(k)].per_slot[s];
-            e.chosen_seg = -1;
-            e.best_pos = -1;
-          }
-        }
-      }
-      {
-        obs::ScopedSpan span("mark_sides");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          gbdt::detail::apply_mark_sides_sparse(
-              *shards[static_cast<std::size_t>(k)].state,
-              shard_plans[static_cast<std::size_t>(k)]);
-        }
-      }
-
-      // 5. Synchronise node_of: instance i's authoritative value lives on
-      //    the shard owning its (new) node's winning attribute.  Each shard
-      //    receives one modeled leg per winning peer carrying that peer's
-      //    rows, then a device kernel gathers the rows in place.
-      if (K > 1) {
-        obs::ScopedSpan span("node_sync");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        std::vector<std::uint64_t> rows_of_winner(
-            static_cast<std::size_t>(K), 0);
-        for (std::size_t s = 0; s < active.size(); ++s) {
-          if (plan.per_slot[s].split && owner[s] >= 0) {
-            rows_of_winner[static_cast<std::size_t>(owner[s])] +=
-                static_cast<std::uint64_t>(active[s].count);
-          }
-        }
-        auto links = make_links(shards);
-        std::vector<double> shard_secs(static_cast<std::size_t>(K), 0.0);
-        for (int k = 0; k < K; ++k) {
-          const auto ku = static_cast<std::size_t>(k);
-          bool waited = false;
-          auto dst = shards[ku].state->node_of.span();
-          for (int w = 0; w < K; ++w) {
-            if (w == k || rows_of_winner[static_cast<std::size_t>(w)] == 0) {
-              continue;
-            }
-            const std::uint64_t bytes =
-                rows_of_winner[static_cast<std::size_t>(w)] *
-                sizeof(std::int32_t);
-            const double secs = link.leg_seconds(bytes);
-            detail::enqueue_leg(links[ku], waited, "stream_mgpu_node_sync",
-                                secs, bytes, dst, detail::ChunkRange{0, 0},
-                                detail::ChunkRange{0, dst.size()});
-            comm.bytes += bytes;
-            ++comm.messages;
-            shard_secs[ku] += secs;
-          }
-        }
-        comm.seconds +=
-            *std::max_element(shard_secs.begin(), shard_secs.end());
-        // Device-side masked gather replacing the old host-side O(K·n)
-        // merge loop: w = owner_of_node[node_of[i]] picks the shard whose
-        // mark_sides result is authoritative for row i.  Winner shards
-        // never rewrite their own rows, so cross-device kernel order is
-        // free — and the default stream joins each shard's comm legs.
-        std::vector<std::span<const std::int32_t>> peers(
-            static_cast<std::size_t>(K));
-        for (int w = 0; w < K; ++w) {
-          peers[static_cast<std::size_t>(w)] =
-              shards[static_cast<std::size_t>(w)].state->node_of.span();
-        }
-        for (int k = 0; k < K; ++k) {
-          auto& sh = shards[static_cast<std::size_t>(k)];
-          auto& st = *sh.state;
-          auto d_owner = gbdt::detail::upload_pooled(*sh.dev, st.arena,
-                                               owner_of_node);
-          auto nof = st.node_of.span();
-          auto own = d_owner.span();
-          const std::int64_t n = n_inst;
-          const int me = k;
-          sh.dev->launch(
-              "mgpu_node_merge", device::grid_for(n, prim::kBlockDim),
-              prim::kBlockDim, [&](device::BlockCtx& b) {
-                b.for_each_thread([&](std::int64_t i) {
-                  if (i >= n) return;
-                  const auto u = static_cast<std::size_t>(i);
-                  const std::int32_t c = nof[u];
-                  const int w = own[static_cast<std::size_t>(c)];
-                  if (w >= 0 && w != me) {
-                    nof[u] = peers[static_cast<std::size_t>(w)][u];
-                  }
-                });
-                b.reads_tile(nof, n);
-                b.writes_tile(nof, n);
-                b.reads(own, 0, static_cast<std::int64_t>(own.size()));
-                const std::uint64_t m = prim::elems_in_block(b, n);
-                b.work(m);
-                // own node read + peer gather + masked write
-                b.mem_coalesced(m * 3 * sizeof(std::int32_t));
-              });
-        }
-      }
-
-      // 6. Local order-preserving partition of every shard's lists.
-      {
-        obs::ScopedSpan span("partition");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          gbdt::detail::apply_partition_sparse(
-              *shards[static_cast<std::size_t>(k)].state,
-              shard_plans[static_cast<std::size_t>(k)]);
-        }
-      }
-
-      active = plan.next_active;
-      for (auto& sh : shards) sh.state->active = active;
-    }
-
-    // Remaining active nodes become leaves.
-    for (const ActiveNode& node : active) {
-      auto& leaf = tree.node(node.tree_node);
-      leaf.weight =
-          param.eta * leaf_weight(node.sum_g, node.sum_h, param.lambda);
-      leaf.n_instances = node.count;
-      leaf.sum_g = node.sum_g;
-      leaf.sum_h = node.sum_h;
-    }
-    active.clear();
-  }
-
-  // Fold the last tree into the replicated predictions; report shard 0's.
-  {
-    obs::ScopedSpan span("gradient_compute");
-    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
-    for (int k = 0; k < K; ++k) {
-      gbdt::detail::update_predictions_smart(*shards[static_cast<std::size_t>(k)].state,
-                                       report.trees.back());
-    }
-  }
-  const auto final_pred = shards[0].dev->to_host(shards[0].state->y_pred);
-  report.train_scores.assign(final_pred.begin(), final_pred.end());
-  finish_comm(report, comm, shards);
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Histogram method: row shards, global cuts, per-level histogram allreduce.
-// ---------------------------------------------------------------------------
-
-MultiTrainReport MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds) {
-  obs::ScopedSpan train_span("mgpu_train");
-  const auto wall_start = std::chrono::steady_clock::now();
-  const int K = n_devices;
-  if (ds.n_instances() == 0) throw std::invalid_argument("empty dataset");
-  if (static_cast<std::int64_t>(K) > ds.n_instances()) {
-    throw std::invalid_argument("more devices than instances");
-  }
-  if (param.n_bins < 1 || param.n_bins > 4096) {
-    throw std::invalid_argument("n_bins must be in [1, 4096]");
-  }
-  if (param.subsample < 1.0 || param.feature_bag != 0) {
-    throw std::invalid_argument(
-        "multi-GPU hist: row/feature sampling is not supported (shards own "
-        "row ranges; a per-tree row mask would unbalance them)");
-  }
-  if (param.objective == ObjectiveKind::kRanking) {
-    throw std::invalid_argument(
-        "multi-GPU hist: ranking objectives need query groups spanning "
-        "shards; train single-device instead");
-  }
-  const std::int64_t n_inst = ds.n_instances();
-  const std::int64_t n_attr = ds.n_attributes();
-  const int n_bins = param.n_bins;
-  const std::int64_t cps = n_attr * n_bins;
-  const bool streams = device::stream_async_enabled();
-
-  MultiTrainReport report;
-  report.base_score = param.base_score;
-  report.device_seconds.assign(static_cast<std::size_t>(K), 0.0);
-  CommStats comm;
-
-  // ---- row shards binned against the *global* quantile cuts ---------------
-  std::vector<Shard> shards(static_cast<std::size_t>(K));
-  std::vector<BinnedMatrix> binned(static_cast<std::size_t>(K));
-  std::vector<device::DeviceBuffer<float>> labels(static_cast<std::size_t>(K));
-  {
-    obs::ScopedSpan span("shard_build");
-    const std::vector<hist::BinCuts> cuts = build_hist_cuts(ds, n_bins);
-    for (int k = 0; k < K; ++k) {
-      auto& sh = shards[static_cast<std::size_t>(k)];
-      sh.dev = std::make_unique<Device>(cfg);
-      if (streams) {
-        sh.comm_stream = sh.dev->stream();
-        sh.compute_stream = sh.dev->stream();
-      }
-      const auto r =
-          detail::chunk_range(static_cast<std::size_t>(n_inst), K, k);
-      sh.row_lo = static_cast<std::int64_t>(r.lo);
-      sh.row_hi = static_cast<std::int64_t>(r.hi);
-      sh.state = std::make_unique<TrainState>(*sh.dev, param, *loss);
-      sh.state->n_inst = sh.row_hi - sh.row_lo;
-      sh.state->n_attr = n_attr;
-    }
-    ParallelStep step(shards, report.modeled_seconds);
-    for (int k = 0; k < K; ++k) {
-      auto& sh = shards[static_cast<std::size_t>(k)];
-      data::Dataset local(n_attr);
-      std::vector<data::Entry> row;
-      for (std::int64_t i = sh.row_lo; i < sh.row_hi; ++i) {
-        const auto inst = ds.instance(i);
-        row.assign(inst.begin(), inst.end());
-        local.add_instance(row, ds.labels()[static_cast<std::size_t>(i)]);
-      }
-      binned[static_cast<std::size_t>(k)] =
-          build_binned_matrix(*sh.dev, local, n_bins, cuts);
-      labels[static_cast<std::size_t>(k)] =
-          sh.dev->to_device<float>(local.labels());
-      auto& st = *sh.state;
-      st.grad = sh.dev->alloc<double>(static_cast<std::size_t>(st.n_inst));
-      st.hess = sh.dev->alloc<double>(static_cast<std::size_t>(st.n_inst));
-      st.y_pred = sh.dev->alloc<float>(static_cast<std::size_t>(st.n_inst));
-      st.node_of =
-          sh.dev->alloc<std::int32_t>(static_cast<std::size_t>(st.n_inst));
-      prim::fill(*sh.dev, st.y_pred, static_cast<float>(param.base_score));
-    }
-  }
-  {
-    // Feasibility: same guard as the single-device hist trainer (histogram
-    // slots replicate per shard, so the bound is unchanged).
-    const double widest = std::ldexp(1.0, std::min(param.depth - 1, 24));
-    const double hist_bytes =
-        2.0 * widest * static_cast<double>(cps) * sizeof(hist::QGH);
-    if (hist_bytes > static_cast<double>(cfg.global_mem_bytes) / 4.0) {
-      throw std::invalid_argument(
-          "hist trainer: per-level histograms would exceed a quarter of "
-          "device memory; reduce depth or n_bins");
-    }
-  }
-
-  std::vector<HistGrower> growers;
-  growers.reserve(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k) {
-    auto& sh = shards[static_cast<std::size_t>(k)];
-    growers.emplace_back(*sh.dev, param, *sh.state,
-                         binned[static_cast<std::size_t>(k)],
-                         /*distributed=*/true);
-  }
-
-  report.trees.reserve(static_cast<std::size_t>(param.n_trees));
-  for (int t = 0; t < param.n_trees; ++t) {
-    {
-      obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        auto& st = *shards[static_cast<std::size_t>(k)].state;
-        if (t > 0) gbdt::detail::update_predictions_smart(st, report.trees.back());
-        gbdt::detail::compute_gradients(st, labels[static_cast<std::size_t>(k)]);
-      }
-    }
-
-    // Quantization scales must agree across shards: allreduce the |g|/|h|
-    // maxima (max) and the quantized root sums (+) so every shard holds the
-    // global values the single-device trainer would compute.
-    std::vector<std::array<double, 2>> maxima(static_cast<std::size_t>(K));
-    {
-      obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        const auto mx = growers[static_cast<std::size_t>(k)].local_abs_max();
-        maxima[static_cast<std::size_t>(k)] = std::array<double, 2>{mx.g, mx.h};
-      }
-    }
-    if (K > 1) {
-      obs::ScopedSpan span("allreduce_merge");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      auto links = make_links(shards);
-      std::vector<std::span<double>> payloads;
-      payloads.reserve(static_cast<std::size_t>(K));
-      for (auto& m : maxima) payloads.push_back(std::span<double>(m));
-      comm.add_collective(allreduce<double>(
-          "comm_absmax", link, opts.algo, links, payloads,
-          [](double a, double b) { return std::max(a, b); }));
-    }
-    std::vector<hist::QGH> rootq(static_cast<std::size_t>(K));
-    {
-      obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        rootq[static_cast<std::size_t>(k)] =
-            growers[static_cast<std::size_t>(k)].quantize(
-                maxima[0][0], maxima[0][1], n_inst);
-      }
-    }
-    if (K > 1) {
-      obs::ScopedSpan span("allreduce_merge");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      auto links = make_links(shards);
-      std::vector<std::span<hist::QGH>> payloads;
-      payloads.reserve(static_cast<std::size_t>(K));
-      for (auto& q : rootq) {
-        payloads.push_back(std::span<hist::QGH>(&q, 1));
-      }
-      comm.add_collective(allreduce<hist::QGH>("comm_rootq", link, opts.algo,
-                                               links, payloads, qgh_sum));
-    }
-
-    report.trees.emplace_back();
-    Tree& tree = report.trees.back();
-    {
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        growers[static_cast<std::size_t>(k)].begin_tree(tree, rootq[0]);
-      }
-    }
-
-    auto& st0 = *shards[0].state;
-    for (int level = 0; level < param.depth && !st0.active.empty(); ++level) {
-      for (int k = 0; k < K; ++k) {
-        growers[static_cast<std::size_t>(k)].plan_level();
-      }
-      {
-        obs::ScopedSpan span("hist_build");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].build_level();
-        }
-      }
-      // Segment offsets + key buffer ride the default stream and must be
-      // enqueued *before* the comm legs (a later default-stream op would
-      // serialise behind them).
-      {
-        obs::ScopedSpan span("hist_find_split");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].prepare_offsets();
-        }
-      }
-      {
-        // Histogram allreduce (one collective per accumulated slot, payload
-        // = that slot's cps cells) overlapping the SetKey build: the comm
-        // legs ride each shard's comm stream behind an event recorded after
-        // hist_build, while set_keys runs on the compute stream — the race
-        // detector sees both schedules, the device clocks overlap them.
-        obs::ScopedSpan span("allreduce_merge");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        if (K > 1) {
-          auto links = make_links(shards);
-          std::vector<std::vector<std::span<hist::QGH>>> slots(
-              static_cast<std::size_t>(K));
-          for (int k = 0; k < K; ++k) {
-            slots[static_cast<std::size_t>(k)] =
-                growers[static_cast<std::size_t>(k)].accumulated_slots();
-          }
-          AllreduceReport rep;
-          std::vector<std::span<hist::QGH>> payloads(
-              static_cast<std::size_t>(K));
-          for (std::size_t j = 0; j < slots[0].size(); ++j) {
-            for (int k = 0; k < K; ++k) {
-              payloads[static_cast<std::size_t>(k)] =
-                  slots[static_cast<std::size_t>(k)][j];
-            }
-            rep += allreduce<hist::QGH>("comm_hist", link, opts.algo, links,
-                                        payloads, qgh_sum);
-          }
-          comm.add_collective(rep);
-        }
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].run_set_keys(
-              shards[static_cast<std::size_t>(k)].compute_stream);
-        }
-      }
-      if (growers[0].has_derived()) {
-        obs::ScopedSpan span("hist_subtract");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].subtract_level();
-        }
-      }
-      {
-        obs::ScopedSpan span("hist_find_split");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].find_level();
-        }
-      }
-
-      // Shard 0 decides (mutating the shared tree once); the decision is
-      // identical on every shard by construction — the histograms and slot
-      // stats are global — so no decision broadcast is modeled.
-      const HistGrower::LevelDecision decision = growers[0].decide_level();
-      if (decision.next_active.empty()) {
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].state().active.clear();
-        }
-        break;
-      }
-      {
-        obs::ScopedSpan span("hist_split_node");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].apply_level(decision);
-        }
-      }
-      for (int k = 0; k < K; ++k) {
-        growers[static_cast<std::size_t>(k)].advance_level(decision);
-      }
-    }
-
-    // Leaf writes are idempotent across shards (all stats are global), so
-    // every grower may finish; only the arena/level state differs.
-    for (int k = 0; k < K; ++k) {
-      growers[static_cast<std::size_t>(k)].finish_tree();
-    }
-  }
-
-  // Fold the last tree into the per-shard predictions and concatenate the
-  // row ranges back into dataset order.
-  {
-    obs::ScopedSpan span("gradient_compute");
-    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
-    for (int k = 0; k < K; ++k) {
-      gbdt::detail::update_predictions_smart(*shards[static_cast<std::size_t>(k)].state,
-                                       report.trees.back());
-    }
-  }
-  report.train_scores.reserve(static_cast<std::size_t>(n_inst));
-  for (int k = 0; k < K; ++k) {
-    auto& sh = shards[static_cast<std::size_t>(k)];
-    const auto pred = sh.dev->to_host(sh.state->y_pred);
-    report.train_scores.insert(report.train_scores.end(), pred.begin(),
-                               pred.end());
-  }
-  finish_comm(report, comm, shards);
+  overlap_gauge.set(report.comm_overlap_ratio);
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

@@ -20,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -208,7 +209,9 @@ class Registry {
                         MetricKind kind, std::vector<double> bounds);
 
   mutable std::mutex mu_;
-  std::vector<std::pair<std::string, Entry>> metrics_;  // key -> entry
+  // key -> entry.  A deque: registering a metric must not move the entries
+  // whose references other threads hold outside the lock.
+  std::deque<std::pair<std::string, Entry>> metrics_;
 };
 
 }  // namespace gbdt::obs

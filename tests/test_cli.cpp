@@ -91,6 +91,29 @@ TEST_F(CliTest, TrainWithValidationAndEarlyStopping) {
   EXPECT_NE(r.output.find("validation rmse"), std::string::npos);
 }
 
+TEST_F(CliTest, HistTrainsWithValidation) {
+  const auto r =
+      run("train --data=/tmp/gbdt_cli_train.libsvm --method=hist "
+          "--valid=/tmp/gbdt_cli_valid.libsvm --early-stopping=3 "
+          "--model=/tmp/gbdt_cli_hist_es.model --trees=20 --depth=4");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("validation rmse"), std::string::npos);
+}
+
+TEST_F(CliTest, MultiGpuRejectsBadParameters) {
+  // The multi-GPU trainer runs the same parameter check as one device.
+  auto r = run("train --data=/tmp/gbdt_cli_train.libsvm "
+               "--model=/tmp/gbdt_cli_bad.model --gpus=2 --trees=0");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("n_trees must be >= 1"), std::string::npos)
+      << r.output;
+  r = run("train --data=/tmp/gbdt_cli_train.libsvm "
+          "--model=/tmp/gbdt_cli_bad.model --gpus=2 --depth=0");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("depth must be >= 1"), std::string::npos)
+      << r.output;
+}
+
 TEST_F(CliTest, DumpShowsTreeStructure) {
   const auto r = run("dump --model=/tmp/gbdt_cli.model --tree=0");
   ASSERT_EQ(r.exit_code, 0) << r.output;

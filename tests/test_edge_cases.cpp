@@ -1,15 +1,22 @@
 // Edge-case hardening across the training stack: degenerate datasets,
-// constant attributes, extreme labels, deep trees on tiny data, and the
-// paper's Table I worked example pushed end to end through the trainer.
+// constant attributes, extreme labels, deep trees on tiny data, the
+// paper's Table I worked example pushed end to end through the trainer, and
+// the parameter check every trainer shares.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <stdexcept>
+#include <vector>
 
 #include "baselines/xgb_exact.h"
 #include "core/metrics.h"
+#include "core/out_of_core.h"
 #include "core/trainer.h"
+#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
+#include "multigpu/multi_trainer.h"
 
 namespace gbdt {
 namespace {
@@ -216,6 +223,61 @@ TEST(EdgeCases, GammaEqualsBestGainPrunes) {
   pruned.gamma = best_gain;
   const auto r2 = train(ds, pruned);
   EXPECT_TRUE(r2.trees[0].node(0).is_leaf());
+}
+
+// ---- parameter validation --------------------------------------------------
+
+struct BadParam {
+  const char* what;
+  std::function<void(GBDTParam&)> set;
+};
+
+const std::vector<BadParam>& bad_params() {
+  static const std::vector<BadParam> bad{
+      {"depth=0", [](GBDTParam& p) { p.depth = 0; }},
+      {"n_trees=0", [](GBDTParam& p) { p.n_trees = 0; }},
+      {"gamma=-5", [](GBDTParam& p) { p.gamma = -5; }},
+      {"lambda=-1", [](GBDTParam& p) { p.lambda = -1; }},
+      {"n_bins=0", [](GBDTParam& p) { p.n_bins = 0; }},
+      {"n_bins=5000", [](GBDTParam& p) { p.n_bins = 5000; }},
+  };
+  return bad;
+}
+
+// Every trainer runs the one shared check at construction, so a bad value
+// fails the same way on every path instead of crashing or training stumps.
+TEST(ParamValidation, EveryTrainerRejectsEveryBadValue) {
+  const auto cfg = DeviceConfig::titan_x_pascal();
+  Device dev(cfg);
+  for (const BadParam& bad : bad_params()) {
+    GBDTParam p = tiny_param();
+    bad.set(p);
+    EXPECT_THROW(GpuGbdtTrainer(dev, p), std::invalid_argument) << bad.what;
+    EXPECT_THROW(GpuHistTrainer(dev, p), std::invalid_argument) << bad.what;
+    EXPECT_THROW(OutOfCoreTrainer(dev, p), std::invalid_argument) << bad.what;
+    EXPECT_THROW(multigpu::MultiGpuTrainer(cfg, 2, p), std::invalid_argument)
+        << bad.what;
+    p.use_hist_trainer = true;
+    EXPECT_THROW(multigpu::MultiGpuTrainer(cfg, 2, p), std::invalid_argument)
+        << bad.what << " (multi-GPU hist)";
+  }
+}
+
+// The histogram footprint guard needs the attribute count, so both hist
+// paths apply it at train time.
+TEST(ParamValidation, HistPathsRejectHistogramsOverAQuarterOfMemory) {
+  data::SyntheticSpec s;
+  s.n_instances = 50;
+  s.n_attributes = 64;
+  const auto ds = data::generate(s);
+  GBDTParam p = tiny_param(/*depth=*/20);
+  p.n_bins = 4096;
+  p.use_hist_trainer = true;
+  const auto cfg = DeviceConfig::titan_x_pascal();
+  Device dev(cfg);
+  EXPECT_THROW((void)GpuHistTrainer(dev, p).train(ds), std::invalid_argument);
+  EXPECT_THROW((void)multigpu::MultiGpuTrainer(cfg, 2, p).train(ds),
+               std::invalid_argument);
 }
 
 }  // namespace

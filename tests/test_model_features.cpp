@@ -2,7 +2,11 @@
 // callbacks, validation tracking, early stopping, and feature importance.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "core/gbdt.h"
 #include "core/metrics.h"
@@ -138,6 +142,65 @@ TEST(Validation, LogisticUsesErrorRate) {
     EXPECT_GE(m, 0.0);
     EXPECT_LE(m, 1.0);
   }
+}
+
+std::string saved_text(const GBDTModel& model, const std::string& tag) {
+  const std::string path = ::testing::TempDir() + "gbdt_model_features_" + tag;
+  model.save(path);
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  std::remove(path.c_str());
+  return os.str();
+}
+
+TEST(Validation, HistMethodIsHonoured) {
+  const auto full = make_data(6, 600);
+  const auto [train_set, valid] = full.split_at(450);
+  GBDTParam p;
+  p.depth = 3;
+  p.n_trees = 6;
+  p.use_hist_trainer = true;
+  Device dev_plain(DeviceConfig::titan_x_pascal());
+  const auto [plain, plain_report] = GBDTModel::train(dev_plain, train_set, p);
+  Device dev_valid(DeviceConfig::titan_x_pascal());
+  auto [model, report, history] = GBDTModel::train_with_validation(
+      dev_valid, train_set, valid, p, /*early_stopping_rounds=*/0);
+  EXPECT_EQ(saved_text(model, "valid"), saved_text(plain, "plain"));
+  EXPECT_EQ(history.metric.size(), 6u);
+
+  p.use_hist_trainer = false;
+  Device dev_exact(DeviceConfig::titan_x_pascal());
+  const auto [exact, exact_report] = GBDTModel::train(dev_exact, train_set, p);
+  EXPECT_NE(saved_text(model, "valid"), saved_text(exact, "exact"))
+      << "the hist request trained the exact method";
+}
+
+TEST(Validation, EarlyStoppingTruncatesHistForest) {
+  const auto full = make_data(5, 260);
+  const auto [train_set, valid] = full.split_at(200);
+  Device dev(DeviceConfig::titan_x_pascal());
+  GBDTParam p;
+  p.depth = 6;
+  p.n_trees = 200;
+  p.eta = 0.8;
+  p.use_hist_trainer = true;
+  auto [model, report, history] =
+      GBDTModel::train_with_validation(dev, train_set, valid, p,
+                                       /*early_stopping_rounds=*/5);
+  ASSERT_TRUE(history.stopped_early);
+  EXPECT_LT(report.trees.size(), 200u);
+  EXPECT_EQ(model.trees().size(),
+            static_cast<std::size_t>(history.best_iteration) + 1);
+  const auto pred = model.predict(valid);
+  EXPECT_NEAR(rmse(pred, valid.labels()),
+              history.metric[static_cast<std::size_t>(history.best_iteration)],
+              1e-9);
+  // The kept trees are the first trees of the hist forest.
+  p.n_trees = history.best_iteration + 1;
+  Device dev_plain(DeviceConfig::titan_x_pascal());
+  const auto [plain, plain_report] = GBDTModel::train(dev_plain, train_set, p);
+  EXPECT_EQ(saved_text(model, "stopped"), saved_text(plain, "prefix"));
 }
 
 TEST(FeatureImportance, SignalAttributesDominate) {

@@ -5,15 +5,20 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/out_of_core.h"
 #include "core/trainer.h"
+#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
+#include "multigpu/multi_trainer.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -150,6 +155,26 @@ TEST(ObsMetrics, CountersSurviveConcurrentKernelWriters) {
   // Same name returns the same instance; labels distinguish.
   EXPECT_EQ(&reg.counter("test_obs_block_hits_total"), &hits);
   EXPECT_NE(&reg.counter("test_obs_block_hits_total", {{"k", "v"}}), &hits);
+}
+
+// Registration from several threads: every lookup resolves under the lock
+// while other threads keep adding metrics, so earlier references stay valid.
+TEST(ObsMetrics, ConcurrentRegistrationKeepsReferencesValid) {
+  obs::Registry reg;
+  obs::Counter& first = reg.counter("test_obs_first_total");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&reg, &first, t] {
+      for (int i = 0; i < 300; ++i) {
+        reg.counter("test_obs_reg_" + std::to_string(t) + "_" +
+                    std::to_string(i))
+            .inc();
+        EXPECT_EQ(&reg.counter("test_obs_first_total"), &first);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(reg.counter("test_obs_reg_3_299").value(), 1u);
 }
 
 TEST(ObsMetrics, RegistryReportsJson) {
@@ -314,6 +339,71 @@ TEST(ObsMetrics, ArenaHoldsDeviceAllocCallsNearConstantPerLevel) {
       static_cast<std::uint64_t>(p.depth) * static_cast<std::uint64_t>(p.n_trees);
   EXPECT_LT(run_calls, 8 * levels)
       << "device allocations per level regressed; arena pooling broken?";
+}
+
+// ---- trainer counters ---------------------------------------------------
+
+/// Levels a tree actually grew: every level up to the deepest node ran a
+/// find-split pass, capped by the depth limit.
+std::uint64_t levels_of(const std::vector<Tree>& trees, int depth) {
+  std::uint64_t levels = 0;
+  for (const Tree& t : trees) {
+    levels += static_cast<std::uint64_t>(std::min(depth, t.depth() + 1));
+  }
+  return levels;
+}
+
+// The boosting driver bumps gbdt_trees_trained_total and
+// gbdt_levels_grown_total on every trainer path, by the trees trained and
+// the levels they actually grew.
+TEST(ObsMetrics, EveryTrainerPathCountsTreesAndLevels) {
+  data::SyntheticSpec spec;
+  spec.n_instances = 40;  // too few rows to fill depth 8: trees stop early
+  spec.n_attributes = 6;
+  spec.density = 0.8;
+  spec.seed = 33;
+  const auto ds = data::generate(spec);
+  GBDTParam p;
+  p.depth = 8;
+  p.n_trees = 4;
+
+  auto& trees_trained =
+      obs::Registry::global().counter("gbdt_trees_trained_total");
+  auto& levels_grown =
+      obs::Registry::global().counter("gbdt_levels_grown_total");
+  const auto expect_counts = [&](const char* path, const auto& train) {
+    const std::uint64_t trees_before = trees_trained.value();
+    const std::uint64_t levels_before = levels_grown.value();
+    const std::vector<Tree> trees = train();
+    ASSERT_EQ(trees.size(), static_cast<std::size_t>(p.n_trees)) << path;
+    EXPECT_EQ(trees_trained.value() - trees_before, trees.size()) << path;
+    const std::uint64_t levels = levels_of(trees, p.depth);
+    EXPECT_LT(levels, static_cast<std::uint64_t>(p.depth * p.n_trees))
+        << path << ": no tree stopped early; the check would not tell "
+        << "grown levels from depth x trees";
+    EXPECT_EQ(levels_grown.value() - levels_before, levels) << path;
+  };
+  const auto cfg = device::DeviceConfig::titan_x_pascal();
+  expect_counts("exact", [&] {
+    device::Device dev(cfg);
+    return GpuGbdtTrainer(dev, p).train(ds).trees;
+  });
+  expect_counts("hist", [&] {
+    device::Device dev(cfg);
+    return GpuHistTrainer(dev, p).train(ds).trees;
+  });
+  expect_counts("out_of_core", [&] {
+    device::Device dev(cfg);
+    return OutOfCoreTrainer(dev, p).train(ds).trees;
+  });
+  expect_counts("mgpu_exact", [&] {
+    return multigpu::MultiGpuTrainer(cfg, 2, p).train(ds).trees;
+  });
+  expect_counts("mgpu_hist", [&] {
+    GBDTParam ph = p;
+    ph.use_hist_trainer = true;
+    return multigpu::MultiGpuTrainer(cfg, 2, ph).train(ds).trees;
+  });
 }
 
 }  // namespace

@@ -317,12 +317,6 @@ int cmd_train(const Flags& f) {
   GBDTModel model;
   TrainReport report;
   if (!valid_path.empty()) {
-    if (param.use_hist_trainer) {
-      std::fprintf(stderr,
-                   "--method=hist does not support --valid/--early-stopping "
-                   "(per-tree validation hooks are exact-trainer only)\n");
-      return 2;
-    }
     auto valid = data::read_libsvm_file(valid_path);
     if (!valid_query_path.empty()) data::read_query_file(valid, valid_query_path);
     if (param.objective == ObjectiveKind::kRanking && !valid.has_queries()) {

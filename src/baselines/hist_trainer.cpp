@@ -159,15 +159,33 @@ HistTrainReport HistGbdtTrainer::train(const data::Dataset& ds) {
         auto so = d_slot_of.span();
         auto hs = hist.span();
         auto hc = hist_cnt.span();
+        // The atomic-per-entry kernel is charged per block as on the GPU,
+        // but cross-block float adds would make the sums depend on the host
+        // schedule.  So block 0 alone folds every row, in row order (the
+        // hist_find_best pattern: a host walk charged as a device kernel),
+        // and the declared footprint stays block-disjoint.
         dev_.launch("hist_build", device::grid_for(n_inst, kBlockDim),
                     kBlockDim, [&](BlockCtx& b) {
                       std::uint64_t touched = 0;
                       b.for_each_thread([&](std::int64_t i) {
                         if (i >= n_inst) return;
                         const auto u = static_cast<std::size_t>(i);
+                        if (so[static_cast<std::size_t>(node_of[u])] >= 0) {
+                          touched +=
+                              static_cast<std::uint64_t>(row[u + 1] - row[u]);
+                        }
+                      });
+                      b.work(touched);
+                      b.mem_coalesced(touched * 6 +
+                                      elems_in_block(b, n_inst) * 24);
+                      b.atomic(touched);  // histogram cells are shared
+                      b.reads_tile(node_of, n_inst);
+                      if (b.block_idx() != 0) return;
+                      for (std::int64_t i = 0; i < n_inst; ++i) {
+                        const auto u = static_cast<std::size_t>(i);
                         const std::int32_t slot =
                             so[static_cast<std::size_t>(node_of[u])];
-                        if (slot < 0) return;
+                        if (slot < 0) continue;
                         const GHPair gh{g[u], h[u]};
                         for (std::int64_t e = row[u]; e < row[u + 1]; ++e) {
                           const auto eu = static_cast<std::size_t>(e);
@@ -176,13 +194,15 @@ HistTrainReport HistGbdtTrainer::train(const data::Dataset& ds) {
                                ea[eu]) * bins + eb[eu]);
                           hs[cell] += gh;
                           ++hc[cell];
-                          ++touched;
                         }
-                      });
-                      b.work(touched);
-                      b.mem_coalesced(touched * 6 +
-                                      elems_in_block(b, n_inst) * 24);
-                      b.atomic(touched);  // histogram cells are shared
+                      }
+                      b.reads(node_of, 0, n_inst);
+                      b.reads(g, 0, n_inst);
+                      b.reads(h, 0, n_inst);
+                      b.reads(hs, 0, static_cast<std::int64_t>(hs.size()));
+                      b.reads(hc, 0, static_cast<std::int64_t>(hc.size()));
+                      b.writes(hs, 0, static_cast<std::int64_t>(hs.size()));
+                      b.writes(hc, 0, static_cast<std::int64_t>(hc.size()));
                     });
       }
 

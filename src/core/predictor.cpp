@@ -88,7 +88,6 @@ void predict_resident(device::Device& dev, const DeviceForest& forest,
   const std::int64_t n_range = tree_hi - tree_lo;
   if (n <= 0 || n_range <= 0) return;
 
-  const std::int64_t total = n * n_range;
   auto ro = rows.offsets();
   auto ra = rows.attrs();
   auto rv = rows.values();
@@ -100,48 +99,57 @@ void predict_resident(device::Device& dev, const DeviceForest& forest,
   auto D = forest.def_left();
   auto W = forest.weight();
   auto out = inout.span();
-  dev.launch(name, device::grid_for(total, kBlockDim), kBlockDim,
+  dev.launch(name, device::grid_for(n, kBlockDim), kBlockDim,
              [&](BlockCtx& b) {
                std::uint64_t steps = 0;
-               b.for_each_thread([&](std::int64_t x) {
-                 if (x >= total) return;
-                 const std::int64_t i = x % n;             // instance
-                 const std::int64_t t = tree_lo + x / n;   // tree
+               b.for_each_thread([&](std::int64_t i) {
+                 if (i >= n) return;
                  const auto iu = static_cast<std::size_t>(i);
                  const std::int64_t row_lo = ro[iu];
                  const std::int64_t row_hi = ro[iu + 1];
-                 const std::int64_t base = toff[static_cast<std::size_t>(t)];
-                 std::int64_t id = base;
-                 while (L[static_cast<std::size_t>(id)] >= 0) {
-                   const auto nu = static_cast<std::size_t>(id);
-                   const std::int32_t want = A[nu];
-                   std::int64_t lo = row_lo, hi = row_hi;
-                   const float* found = nullptr;
-                   while (lo < hi) {
-                     const std::int64_t mid = (lo + hi) / 2;
-                     const auto mu = static_cast<std::size_t>(mid);
-                     if (ra[mu] < want) {
-                       lo = mid + 1;
-                     } else if (ra[mu] > want) {
-                       hi = mid;
-                     } else {
-                       found = &rv[mu];
-                       break;
+                 // One thread per row, trees in ascending order: the
+                 // accumulation order RowPredictor and the serving relay
+                 // reproduce bit for bit.
+                 double acc = out[iu];
+                 for (std::int64_t t = tree_lo; t < tree_hi; ++t) {
+                   const std::int64_t base = toff[static_cast<std::size_t>(t)];
+                   std::int64_t id = base;
+                   while (L[static_cast<std::size_t>(id)] >= 0) {
+                     const auto nu = static_cast<std::size_t>(id);
+                     const std::int32_t want = A[nu];
+                     std::int64_t lo = row_lo, hi = row_hi;
+                     const float* found = nullptr;
+                     while (lo < hi) {
+                       const std::int64_t mid = (lo + hi) / 2;
+                       const auto mu = static_cast<std::size_t>(mid);
+                       if (ra[mu] < want) {
+                         lo = mid + 1;
+                       } else if (ra[mu] > want) {
+                         hi = mid;
+                       } else {
+                         found = &rv[mu];
+                         break;
+                       }
+                       ++steps;
                      }
-                     ++steps;
+                     const bool go_left =
+                         found != nullptr ? *found >= S[nu] : D[nu] != 0;
+                     id = base + (go_left ? L[nu] : R[nu]);
+                     steps += 3;
                    }
-                   const bool go_left =
-                       found != nullptr ? *found >= S[nu] : D[nu] != 0;
-                   id = base + (go_left ? L[nu] : R[nu]);
-                   steps += 3;
+                   acc += W[static_cast<std::size_t>(id)];
                  }
-                 // One thread per (instance, tree): partial sums accumulate
-                 // with a global atomic, as in the paper's prediction kernel.
-                 out[iu] += W[static_cast<std::size_t>(id)];
+                 out[iu] = acc;
                });
+               const std::uint64_t rows_here = prim::elems_in_block(b, n);
                b.work(steps);
                b.mem_irregular(steps);
-               b.atomic(prim::elems_in_block(b, total));
+               // Each thread reads and writes its own output cell once.
+               b.mem_coalesced(2 * rows_here * sizeof(double));
+               b.reads(ro, b.block_idx() * kBlockDim,
+                       static_cast<std::int64_t>(rows_here) + 1);
+               b.reads_tile(out, n);
+               b.writes_tile(out, n);
              });
 }
 

@@ -3,8 +3,15 @@
 //
 // The paper's kernel is instance level x tree level parallelism — one
 // logical GPU thread computes the partial prediction of one instance under
-// one tree.  Training itself never calls this (SmartGD reuses the
-// instance->leaf map); it exists for scoring unseen data.
+// one tree and adds it to the row's output with an atomic.  This kernel
+// departs from that: one logical thread per instance walks the trees in
+// ascending order and writes its own output cell once.  Floating-point
+// addition is not associative, so atomics from different blocks would make
+// the sum depend on the schedule; the per-row loop keeps it bitwise equal to
+// RowPredictor, the serving relay and the host predictor at any host worker
+// count, and its writes are block-disjoint.  Training itself never calls
+// this (SmartGD reuses the instance->leaf map); it exists for scoring unseen
+// data.
 //
 // The upload and traversal halves are split so callers that score many
 // times against the same forest (cross-validation, the serving layer's

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace gbdt::data {
 
@@ -70,7 +70,8 @@ Dataset generate(const SyntheticSpec& spec) {
 
   std::vector<Entry> row;
   std::vector<std::int64_t> attrs;
-  std::unordered_set<std::int64_t> seen;
+  // Marks the attributes drawn for the current row: no allocation per draw.
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(spec.n_attributes));
   for (std::int64_t i = 0; i < spec.n_instances; ++i) {
     // Choose which attributes are present.
     attrs.clear();
@@ -79,11 +80,14 @@ Dataset generate(const SyntheticSpec& spec) {
       for (std::int64_t a = 0; a < spec.n_attributes; ++a) attrs[static_cast<std::size_t>(a)] = a;
     } else {
       const std::int64_t nnz = std::max<std::int64_t>(1, nnz_dist(rng));
-      seen.clear();
-      while (static_cast<std::int64_t>(seen.size()) < nnz) {
-        seen.insert(attr_pick(rng));
+      while (static_cast<std::int64_t>(attrs.size()) < nnz) {
+        const std::int64_t a = attr_pick(rng);
+        if (seen[static_cast<std::size_t>(a)] == 0) {
+          seen[static_cast<std::size_t>(a)] = 1;
+          attrs.push_back(a);
+        }
       }
-      attrs.assign(seen.begin(), seen.end());
+      for (const std::int64_t a : attrs) seen[static_cast<std::size_t>(a)] = 0;
       std::sort(attrs.begin(), attrs.end());
     }
 

@@ -12,9 +12,11 @@
 //   });
 //   auto out = dev.to_host(buf);
 //
-// Kernel bodies run on the host (optionally across a host thread pool, one
-// logical block at a time) and *count* their work; the CostModel converts
-// counts into modeled device seconds accumulated on the timeline.
+// Kernel bodies run on the host (across a host thread pool, one logical
+// block at a time) and *count* their work; the CostModel converts counts into
+// modeled device seconds accumulated on the timeline.  Kernels write
+// block-disjoint outputs, so results and counters are bitwise independent of
+// the host worker count.
 //
 // Streams and events (CUDA-style, see DESIGN.md §5h): `stream()` creates a
 // new FIFO stream; `launch_async`/`copy_to_device_async`/`copy_to_host_async`
@@ -37,6 +39,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
@@ -68,6 +71,44 @@ inline std::atomic<int>& stream_async_state() {
   // -1: unresolved (consult the environment), 0: sync, 1: async.
   static std::atomic<int> state{-1};
   return state;
+}
+
+/// Host wall seconds each kernel label's blocks have taken in this process,
+/// over every device (timed per inline launch or per pooled chunk): their
+/// ratio to the blocks run predicts a launch's cost on the calling thread.
+class HostCostTable {
+ public:
+  /// Predicted inline seconds of `grid_dim` blocks of `name`; -1 for a
+  /// label not timed yet.
+  [[nodiscard]] double predict(std::string_view name, std::int64_t grid_dim) {
+    std::lock_guard lk(mu_);
+    const auto it = costs_.find(name);
+    if (it == costs_.end()) return -1.0;
+    return it->second.seconds / static_cast<double>(it->second.blocks) *
+           static_cast<double>(grid_dim);
+  }
+  void add(std::string_view name, double seconds, std::uint64_t blocks) {
+    std::lock_guard lk(mu_);
+    auto it = costs_.find(name);
+    if (it == costs_.end()) {
+      it = costs_.emplace(std::string(name), Cost{}).first;
+    }
+    it->second.seconds += seconds;
+    it->second.blocks += blocks;
+  }
+
+ private:
+  struct Cost {
+    double seconds = 0.0;
+    std::uint64_t blocks = 0;
+  };
+  std::mutex mu_;
+  std::map<std::string, Cost, std::less<>> costs_;
+};
+
+inline HostCostTable& host_costs() {
+  static HostCostTable table;
+  return table;
 }
 }  // namespace detail
 
@@ -263,12 +304,16 @@ struct Timeline {
 
 class Device {
  public:
-  /// host_workers: host threads executing blocks (1 = deterministic serial
-  /// execution; modeled time never depends on this).
-  explicit Device(DeviceConfig cfg, unsigned host_workers = 1)
+  /// host_workers: host threads executing blocks.  0 (the default) means
+  /// the hardware concurrency, with launches predicted to be cheap kept on
+  /// the calling thread; 1 runs every block serially on the calling thread;
+  /// any other count pools every grid of more than 2 x host_workers blocks.
+  /// Neither results nor modeled time depend on it.
+  explicit Device(DeviceConfig cfg, unsigned host_workers = 0)
       : cost_(std::move(cfg)),
         allocator_(cost_.config().global_mem_bytes),
         pool_(host_workers),
+        adaptive_(host_workers == 0),
         queues_(1) {
     allocator_.set_race_detector(&hb_);
   }
@@ -582,20 +627,40 @@ class Device {
         analysis::race_detect_enabled() ? &fp : nullptr;
     if (audit != nullptr) audit->begin(name);
     KernelStats total;
+    const std::uint64_t workers = pool_.worker_count();
+    // Where the blocks run.  Inline where the pool cannot pay: one worker;
+    // grids of at most 2 x workers blocks; armed checkers, whose verdict
+    // depends only on the declared footprints while their recorders
+    // serialize on one mutex and coalesce only in-order blocks; and, on a
+    // default device, launches that the label's host time so far predicts
+    // under kMinPooledSeconds (a label not timed yet runs inline once).  An
+    // explicit worker count pools every larger grid, so tests can force
+    // concurrency.  Results never depend on the choice: kernels write
+    // block-disjoint outputs.
+    const bool timed = workers > 1 &&
+                       static_cast<std::uint64_t>(grid_dim) > 2 * workers &&
+                       audit == nullptr && race == nullptr;
+    const bool pooled =
+        timed && (!adaptive_ || detail::host_costs().predict(name, grid_dim) >=
+                                    kMinPooledSeconds);
+    double host_seconds = 0.0;
     try {
-      if (pool_.worker_count() <= 1 || grid_dim == 1) {
+      if (!pooled) {
+        const auto start = std::chrono::steady_clock::now();
         for (std::int64_t blk = 0; blk < grid_dim; ++blk) {
           BlockCtx ctx(blk, block_dim, grid_dim, audit, race);
           body(ctx);
           total += ctx.take_stats();
         }
+        host_seconds = seconds_since(start);
       } else {
         std::mutex merge_mu;
         // Chunk blocks so pool dispatch overhead stays small.
         const std::uint64_t chunks =
-            std::min<std::uint64_t>(grid_dim, 4ull * pool_.worker_count());
+            std::min<std::uint64_t>(grid_dim, 4ull * workers);
         const std::int64_t per_chunk = (grid_dim + chunks - 1) / chunks;
         pool_.run_chunks(chunks, [&](std::uint64_t c) {
+          const auto start = std::chrono::steady_clock::now();
           KernelStats local;
           const std::int64_t lo = static_cast<std::int64_t>(c) * per_chunk;
           const std::int64_t hi =
@@ -605,9 +670,15 @@ class Device {
             body(ctx);
             local += ctx.take_stats();
           }
+          const double secs = seconds_since(start);
           std::lock_guard lk(merge_mu);
           total += local;
+          host_seconds += secs;
         });
+      }
+      if (timed) {
+        detail::host_costs().add(name, host_seconds,
+                                 static_cast<std::uint64_t>(grid_dim));
       }
       if (audit != nullptr) audit->finish();  // throws on contract violation
     } catch (...) {
@@ -616,6 +687,17 @@ class Device {
     }
     if (race != nullptr) hb_.on_op(stream, name, "kernel", fp.take());
     record_kernel(stream, name, total);
+  }
+
+  /// Predicted inline host seconds from which a default device's launch
+  /// goes to the pool: waking and joining the helpers costs tens of
+  /// microseconds, more on a host whose cores are busy with other processes.
+  static constexpr double kMinPooledSeconds = 200e-6;
+
+  static double seconds_since(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
   }
 
   template <typename T>
@@ -774,6 +856,7 @@ class Device {
   CostModel cost_;
   DeviceAllocator allocator_;
   ThreadPool pool_;
+  bool adaptive_;  // host_workers == 0: cheap launches stay inline
   Timeline timeline_;
   // Per-device shadow maps: multi-GPU setups audit each shard independently.
   analysis::LaunchAuditor auditor_;

@@ -39,6 +39,8 @@ struct KernelStats {
     if (o.max_block_work > max_block_work) max_block_work = o.max_block_work;
     return *this;
   }
+
+  bool operator==(const KernelStats&) const = default;
 };
 
 }  // namespace gbdt::device

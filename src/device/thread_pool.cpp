@@ -18,15 +18,10 @@ struct ChunkScope {
 
 std::int64_t ThreadPool::current_chunk() { return t_current_chunk; }
 
-ThreadPool::ThreadPool(unsigned workers) {
-  if (workers == 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency());
-  }
-  // The calling thread participates, so spawn workers-1 helpers.
-  for (unsigned i = 1; i < workers; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-}
+ThreadPool::ThreadPool(unsigned workers)
+    : workers_(workers != 0
+                   ? workers
+                   : std::max(1u, std::thread::hardware_concurrency())) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -61,13 +56,17 @@ void ThreadPool::run_one_chunk(const std::function<void(std::uint64_t)>& fn,
 void ThreadPool::run_chunks(std::uint64_t chunks,
                             const std::function<void(std::uint64_t)>& fn) {
   if (chunks == 0) return;
-  if (threads_.empty()) {
+  if (workers_ <= 1) {
     // Serial: no shared state to unwind, exceptions propagate directly.
     for (std::uint64_t c = 0; c < chunks; ++c) {
       ChunkScope scope(c);
       fn(c);
     }
     return;
+  }
+  // The calling thread participates, so spawn workers-1 helpers.
+  while (threads_.size() + 1 < workers_) {
+    threads_.emplace_back([this] { worker_loop(); });
   }
   std::uint64_t my_generation = 0;
   {

@@ -24,16 +24,17 @@ namespace gbdt::device {
 
 class ThreadPool {
  public:
-  /// Creates a pool with `workers` threads; 0 means hardware concurrency.
+  /// Creates a pool of `workers` threads; 0 means hardware concurrency.
+  /// The helper threads start on the first run_chunks that needs them, so
+  /// a pool that only ever runs serially costs no threads.
   explicit ThreadPool(unsigned workers = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] unsigned worker_count() const {
-    return static_cast<unsigned>(threads_.size()) + 1;  // + calling thread
-  }
+  /// Helper threads plus the calling thread.
+  [[nodiscard]] unsigned worker_count() const { return workers_; }
 
   /// Runs fn(chunk_index) for chunk_index in [0, chunks) across the workers
   /// and the calling thread; returns when all chunks finished.  If any
@@ -56,6 +57,7 @@ class ThreadPool {
   void run_one_chunk(const std::function<void(std::uint64_t)>& fn,
                      std::uint64_t c);
 
+  unsigned workers_;
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable cv_work_;

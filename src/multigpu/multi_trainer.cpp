@@ -210,7 +210,7 @@ class ExactShards final : public ShardedBackend {
       obs::ScopedSpan span("shard_build");
       for (int k = 0; k < K; ++k) {
         auto& sh = shards_[static_cast<std::size_t>(k)];
-        sh.dev = std::make_unique<Device>(spec.cfg);
+        sh.dev = std::make_unique<Device>(spec.cfg, spec.opts.host_workers);
         sh.comm_stream = streams ? sh.dev->stream() : device::kDefaultStream;
         if (feature_sharded_) {
           const auto r =
@@ -554,7 +554,7 @@ class HistShards final : public ShardedBackend {
           build_hist_cuts(ds, param.n_bins);
       for (int k = 0; k < K; ++k) {
         auto& sh = shards_[static_cast<std::size_t>(k)];
-        sh.dev = std::make_unique<Device>(spec.cfg);
+        sh.dev = std::make_unique<Device>(spec.cfg, spec.opts.host_workers);
         if (streams) {
           sh.comm_stream = sh.dev->stream();
           sh.compute_stream = sh.dev->stream();

@@ -63,6 +63,9 @@ enum class ShardMode {
 struct MultiGpuOptions {
   ShardMode shard = ShardMode::kData;
   AllreduceAlgo algo = AllreduceAlgo::kRing;
+  /// Host threads per shard device, as in device::Device (0 = hardware
+  /// concurrency, 1 = serial); results never depend on it.
+  unsigned host_workers = 0;
 };
 
 struct MultiTrainReport {

@@ -4,12 +4,14 @@
 #include <cmath>
 #include <functional>
 #include <future>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "analysis/access_audit.h"
 #include "analysis/hb_race.h"
+#include "baselines/hist_trainer.h"
 #include "baselines/xgb_exact.h"
 #include "core/gbdt.h"
 #include "core/metrics.h"
@@ -19,6 +21,7 @@
 #include "core/predictor.h"
 #include "multigpu/allreduce.h"
 #include "multigpu/multi_trainer.h"
+#include "obs/trace.h"
 #include "primitives/fused_split.h"
 #include "serve/service.h"
 #include "testing/invariants.h"
@@ -847,6 +850,187 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
         "hist_ring_vs_alltoone",
         [&] { return with_alltoone([&] { return mgpu_run(hist, ring_opts); }); },
         hist_ref, 0.0, ds.labels()));
+  }
+
+  set_invariants_enabled(was_enabled);
+  return result;
+}
+
+namespace {
+
+/// A trained forest and the modeled seconds its training took.
+struct Trained {
+  std::vector<Tree> trees;
+  double base_score = 0.0;
+  double modeled_seconds = 0.0;
+};
+
+/// What one trainer path produced on one host worker count.
+struct WorkersRun {
+  std::string forest;
+  double modeled_seconds = 0.0;
+  std::map<std::string, obs::KernelAgg> kernels;  // summed over spans
+  std::vector<double> predictions;
+};
+
+void sum_kernels(const obs::Span& span,
+                 std::map<std::string, obs::KernelAgg>& out) {
+  for (const auto& [label, agg] : span.stats().kernels) {
+    obs::KernelAgg& sum = out[label];
+    sum.launches += agg.launches;
+    sum.seconds += agg.seconds;
+    sum.stats += agg.stats;
+  }
+  for (const auto& child : span.children()) sum_kernels(*child, out);
+}
+
+/// Trains through `train` and scores the training rows on devices with
+/// `workers` host workers, recording every kernel launch of both.
+WorkersRun run_on_workers(const std::function<Trained(unsigned)>& train,
+                          unsigned workers, const data::Dataset& ds) {
+  WorkersRun run;
+  obs::ObsSession session;
+  session.activate();
+  Trained t = train(workers);
+  Device dev(DeviceConfig::titan_x_pascal(), workers);
+  run.predictions = predict_on_device(dev, t.trees, t.base_score, ds);
+  session.deactivate();
+  std::ostringstream forest;
+  for (const Tree& tree : t.trees) tree.serialize(forest);
+  run.forest = forest.str();
+  run.modeled_seconds = t.modeled_seconds;
+  sum_kernels(session.root(), run.kernels);
+  return run;
+}
+
+/// First difference between two runs; empty when they agree bit for bit.
+std::string workers_diff(const WorkersRun& a, const WorkersRun& b) {
+  if (a.forest != b.forest) return "forest text differs";
+  if (a.modeled_seconds != b.modeled_seconds) {
+    std::ostringstream os;
+    os << std::hexfloat << "modeled seconds " << a.modeled_seconds << " vs "
+       << b.modeled_seconds;
+    return os.str();
+  }
+  for (auto ia = a.kernels.begin(), ib = b.kernels.begin();
+       ia != a.kernels.end() || ib != b.kernels.end(); ++ia, ++ib) {
+    if (ia == a.kernels.end() || ib == b.kernels.end() ||
+        ia->first != ib->first) {
+      return "kernel label sets differ";
+    }
+    const obs::KernelAgg& x = ia->second;
+    const obs::KernelAgg& y = ib->second;
+    if (x.launches != y.launches || x.seconds != y.seconds ||
+        !(x.stats == y.stats)) {
+      return "kernel " + ia->first + " counters differ";
+    }
+  }
+  for (std::size_t i = 0; i < a.predictions.size(); ++i) {
+    if (a.predictions[i] != b.predictions[i]) {
+      return "prediction of row " + std::to_string(i) + " differs";
+    }
+  }
+  return {};
+}
+
+LegResult workers_leg(const std::string& name,
+                      const std::function<Trained(unsigned)>& train,
+                      const data::Dataset& ds) {
+  LegResult leg;
+  leg.name = name;
+  leg.ran = true;
+  try {
+    const WorkersRun serial = run_on_workers(train, 1, ds);
+    const WorkersRun pooled = run_on_workers(train, 4, ds);
+    leg.detail = workers_diff(serial, pooled);
+    leg.exact = leg.detail.empty();
+  } catch (const InvariantViolation& e) {
+    leg.invariant_violation = true;
+    leg.detail = e.what();
+  } catch (const std::exception& e) {
+    leg.detail = std::string("trainer threw: ") + e.what();
+  }
+  return leg;
+}
+
+}  // namespace
+
+OracleResult run_workers_oracle(const FuzzCase& c, bool check_invariants) {
+  OracleResult result;
+  result.c = c;
+
+  const bool was_enabled = invariants_enabled();
+  set_invariants_enabled(check_invariants);
+
+  data::SyntheticSpec spec = c.dataset_spec();
+  spec.n_instances = std::max(spec.n_instances, kWorkersMinRows);
+  const auto ds = data::generate(spec);
+  const GBDTParam base = c.base_param();
+  GBDTParam rle = base;
+  rle.use_rle = true;
+  rle.force_rle = true;
+  GBDTParam hist = base;
+  hist.use_hist_trainer = true;
+  hist.n_bins = c.n_bins;
+
+  // Single-device paths: the modeled seconds are the device's timeline.
+  auto on_device = [](auto train) {
+    return [train](unsigned workers) {
+      Device dev(DeviceConfig::titan_x_pascal(), workers);
+      auto r = train(dev);
+      return Trained{std::move(r.trees), r.base_score, dev.elapsed_seconds()};
+    };
+  };
+  result.legs.push_back(workers_leg(
+      "workers_sparse", on_device([&](Device& dev) {
+        return GpuGbdtTrainer(dev, base).train(ds);
+      }),
+      ds));
+  result.legs.push_back(workers_leg(
+      "workers_rle", on_device([&](Device& dev) {
+        return GpuGbdtTrainer(dev, rle).train(ds);
+      }),
+      ds));
+  result.legs.push_back(workers_leg(
+      "workers_hist", on_device([&](Device& dev) {
+        return GpuHistTrainer(dev, hist).train(ds);
+      }),
+      ds));
+  result.legs.push_back(workers_leg(
+      "workers_baseline_hist", on_device([&](Device& dev) {
+        return baseline::HistGbdtTrainer(dev, base, c.n_bins).train(ds);
+      }),
+      ds));
+  result.legs.push_back(workers_leg(
+      "workers_ooc", on_device([&](Device& dev) {
+        return OutOfCoreTrainer(dev, base, c.ooc_chunk_bytes,
+                                c.ooc_stream_compressed)
+            .train(ds);
+      }),
+      ds));
+
+  const int n_gpus =
+      static_cast<int>(std::min<std::int64_t>(c.n_gpus, c.n_attributes));
+  auto sharded = [&ds, n_gpus](const GBDTParam& p) {
+    return [&ds, p, n_gpus](unsigned workers) {
+      multigpu::MultiGpuOptions opts;
+      opts.host_workers = workers;
+      multigpu::MultiGpuTrainer trainer(DeviceConfig::titan_x_pascal(), n_gpus,
+                                        p, multigpu::Interconnect::pcie3(),
+                                        opts);
+      auto r = trainer.train(ds);
+      return Trained{std::move(r.trees), r.base_score, r.modeled_seconds};
+    };
+  };
+  if (n_gpus >= 2) {
+    result.legs.push_back(workers_leg("workers_mgpu_data", sharded(base), ds));
+    result.legs.push_back(workers_leg("workers_mgpu_hist", sharded(hist), ds));
+  } else {
+    LegResult skipped;
+    skipped.name = "workers_mgpu";
+    skipped.ran = false;
+    skipped.detail = "skipped: fewer than 2 shardable attributes";
+    result.legs.push_back(std::move(skipped));
   }
 
   set_invariants_enabled(was_enabled);

@@ -22,6 +22,7 @@
 //    tolerance of the reference instead (quality equivalence, not bitwise).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -146,6 +147,19 @@ struct OracleResult {
 ///    identical; a schedule-sensitive result means a missing ordering edge.
 [[nodiscard]] OracleResult run_race_oracle(const FuzzCase& c,
                                            bool check_invariants = true);
+
+/// Host-worker oracle (`gbdt_fuzz --workers`): every trainer path trained
+/// on a 1-worker and a 4-worker device must agree bit for bit on the forest
+/// text, the modeled seconds, every per-kernel-label counter and the device
+/// predictions of the trained forest.  Legs: workers_sparse, workers_rle,
+/// workers_hist, workers_baseline_hist, workers_ooc, workers_mgpu_data and
+/// workers_mgpu_hist (the multi-GPU legs are skipped below 2 shardable
+/// attributes).  The case's rows are raised to at least kWorkersMinRows so
+/// row-level grids exceed 2 x 4 blocks, which an explicit 4-worker device
+/// always runs on the pool.
+inline constexpr std::int64_t kWorkersMinRows = 2304;
+[[nodiscard]] OracleResult run_workers_oracle(const FuzzCase& c,
+                                              bool check_invariants = true);
 
 /// Shrinks a failing case by halving rows/columns and dropping trees/depth
 /// while `still_fails` keeps returning true; returns the smallest

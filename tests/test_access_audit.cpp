@@ -14,6 +14,8 @@
 
 #include "analysis/access_audit.h"
 #include "analysis/fault_kernels.h"
+#include "baselines/hist_trainer.h"
+#include "core/predictor.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
@@ -113,9 +115,10 @@ TEST_F(AccessAudit, OutOfBoundsDeclarationFires) {
 }
 
 TEST_F(AccessAudit, ViolationUnwindsThroughWorkerPoolAndDeviceStaysUsable) {
-  // The out-of-bounds fault only *declares* the bad access (no real OOB
-  // store), so it is safe on a multi-worker pool: the throw happens on
-  // whichever worker runs the last block and must surface on the caller.
+  // Audited launches run inline on the calling thread (the verdict depends
+  // only on the declared footprints), so the throw surfaces directly; the
+  // multi-worker device must stay usable afterwards.  test_device covers
+  // unwinding through the pool itself.
   Device dev(DeviceConfig::titan_x_pascal(), /*host_workers=*/4);
   EXPECT_THROW(analysis::run_out_of_bounds_fault(dev, /*grid_dim=*/64),
                AuditViolation);
@@ -160,6 +163,31 @@ TEST_F(AccessAudit, SparseAndRleTrainingRunClean) {
     const auto rep = GpuGbdtTrainer(dev, p).train(ds);
     EXPECT_TRUE(rep.used_rle);
   }
+}
+
+// The two kernels that used to add into shared cells from many blocks:
+// device prediction (one thread per row now) and the baseline histogram
+// build (one folding block now).  Both declare their writes.
+TEST_F(AccessAudit, DevicePredictionAndBaselineHistTrainingRunClean) {
+  data::SyntheticSpec spec;
+  spec.n_instances = 3000;
+  spec.n_attributes = 8;
+  spec.density = 0.7;
+  spec.seed = 43;
+  const auto ds = data::generate(spec);
+
+  GBDTParam p;
+  p.depth = 4;
+  p.n_trees = 3;
+  Device dev(DeviceConfig::titan_x_pascal(), /*host_workers=*/4);
+  const auto rep = GpuGbdtTrainer(dev, p).train(ds);
+  std::vector<double> scores;
+  EXPECT_NO_THROW(scores = predict_on_device(dev, rep.trees, p.base_score, ds));
+  EXPECT_EQ(scores.size(), static_cast<std::size_t>(ds.n_instances()));
+
+  baseline::HistTrainReport hist;
+  EXPECT_NO_THROW(hist = baseline::HistGbdtTrainer(dev, p, 16).train(ds));
+  EXPECT_EQ(hist.trees.size(), 3u);
 }
 
 TEST_F(AccessAudit, RleRoundTripRunsClean) {

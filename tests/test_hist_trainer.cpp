@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "baselines/hist_trainer.h"
 #include "core/metrics.h"
@@ -214,6 +215,27 @@ TEST(HistTrainer, DeterministicAcrossRuns) {
     EXPECT_TRUE(Tree::same_structure(a.trees[t], b.trees[t], 0.0)) << t;
   }
   EXPECT_EQ(a.train_scores, b.train_scores);
+}
+
+// 20000 rows are 79 hist_build blocks, well past the inline threshold of a
+// 4-worker device, so the blocks really run concurrently.
+TEST(HistTrainer, BitwiseIdenticalAcrossHostWorkers) {
+  const auto ds = make_data(28, 20000, 8);
+  auto p = small_param();
+  p.n_trees = 3;
+  Device serial(DeviceConfig::titan_x_pascal(), /*host_workers=*/1);
+  Device pooled(DeviceConfig::titan_x_pascal(), /*host_workers=*/4);
+  const auto a = HistGbdtTrainer(serial, p, 32).train(ds);
+  const auto b = HistGbdtTrainer(pooled, p, 32).train(ds);
+  ASSERT_GE(device::grid_for(ds.n_instances(), 256), 64);
+  const auto text = [](const std::vector<Tree>& trees) {
+    std::ostringstream out;
+    for (const Tree& t : trees) t.serialize(out);
+    return out.str();
+  };
+  EXPECT_EQ(text(a.trees), text(b.trees));
+  EXPECT_EQ(a.train_scores, b.train_scores);
+  EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
 }
 
 TEST(HistTrainer, DepthAndLeafBoundsHold) {

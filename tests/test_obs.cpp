@@ -138,7 +138,8 @@ TEST(ObsMetrics, CountersSurviveConcurrentKernelWriters) {
   const double before_weight = weight.value();
   const std::uint64_t before_count = sizes.count();
 
-  device::Device dev(device::DeviceConfig::titan_x_pascal());
+  device::Device dev(device::DeviceConfig::titan_x_pascal(),
+                     /*host_workers=*/4);
   constexpr std::int64_t kGrid = 512;
   for (int round = 0; round < 4; ++round) {
     dev.launch("test_metric_writers", kGrid, 64, [&](device::BlockCtx& b) {

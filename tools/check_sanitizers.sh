@@ -7,7 +7,13 @@
 #   GBDT_SANITIZE=thread tools/check_sanitizers.sh # ThreadSanitizer
 #
 # The ASan+UBSan tree lives in build-asan/, the TSan tree in build-tsan/,
-# both next to the regular build/.  The TSan lane runs the unit, property,
+# both next to the regular build/.  Devices run blocks on one host worker per
+# hardware thread by default (Device(cfg, 1) is the serial override), so the
+# TSan lane really runs blocks concurrently: every grid of more than
+# 2 x workers blocks on devices built with an explicit worker count, and on
+# default devices the launches predicted to take at least 200 us.  Launches
+# under an armed auditor or race detector run inline.
+# The TSan lane runs the unit, property,
 # bench_smoke, hist_smoke, serve_smoke, race_smoke, objective_smoke and
 # mgpu_smoke labels (the
 # concurrency-relevant suites: every kernel launch exercises the thread

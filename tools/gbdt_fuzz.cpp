@@ -20,6 +20,9 @@
 //                                                   # sweep (ring/tree vs
 //                                                   # the GBDT_ALLTOONE
 //                                                   # hatch, bitwise)
+//   gbdt_fuzz --workers --cases 10                  # host-worker sweep
+//                                                   # (1 vs 4 workers,
+//                                                   # bitwise, every path)
 //   gbdt_fuzz --self-test                           # fault-injection check
 //   gbdt_fuzz --cases 50 --audit                    # sweep with the kernel
 //                                                   # access auditor armed
@@ -72,6 +75,7 @@ struct Options {
   bool race_only = false;
   bool objective_only = false;
   bool mgpu_only = false;
+  bool workers_only = false;
   std::string race_fault;  // seeded stream-race fault name
 };
 
@@ -101,6 +105,10 @@ void usage() {
          "                     legacy schedule's forest, and K-shard\n"
          "                     histogram training must match the\n"
          "                     single-device histogram trainer bit for bit\n"
+         "  --workers          host-worker sweep: every trainer path on a\n"
+         "                     1-worker and a 4-worker device must give the\n"
+         "                     same forest, modeled seconds, per-kernel\n"
+         "                     counters and device predictions, bitwise\n"
          "  --no-invariants    do not arm in-trainer invariant checks\n"
          "  --no-minimize      report failures without shrinking them\n"
          "  --self-test        verify the invariant checker catches injected\n"
@@ -174,6 +182,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.objective_only = true;
     } else if (a == "--mgpu") {
       opt.mgpu_only = true;
+    } else if (a == "--workers") {
+      opt.workers_only = true;
     } else if (a == "--no-invariants") {
       opt.check_invariants = false;
     } else if (a == "--no-minimize") {
@@ -232,6 +242,8 @@ bool run_case(const FuzzCase& c, const Options& opt, int index, int total) {
           ? gbdt::testing::run_mgpu_oracle(c, opt.check_invariants)
       : opt.race_only
           ? gbdt::testing::run_race_oracle(c, opt.check_invariants)
+      : opt.workers_only
+          ? gbdt::testing::run_workers_oracle(c, opt.check_invariants)
           : run_oracle(c, opt.check_invariants);
   std::cout << "[" << index << "/" << total << "] "
             << (r.pass() ? "PASS" : "FAIL") << " " << c.describe();
@@ -265,6 +277,10 @@ bool run_case(const FuzzCase& c, const Options& opt, int index, int total) {
       repro = gbdt::testing::minimize_case_with(c, [check](const FuzzCase& s) {
         return !gbdt::testing::run_race_oracle(s, check).pass();
       });
+    } else if (opt.workers_only) {
+      repro = gbdt::testing::minimize_case_with(c, [check](const FuzzCase& s) {
+        return !gbdt::testing::run_workers_oracle(s, check).pass();
+      });
     } else {
       repro = gbdt::testing::minimize_case(c, opt.check_invariants);
     }
@@ -281,6 +297,7 @@ bool run_case(const FuzzCase& c, const Options& opt, int index, int total) {
                       : opt.objective_only ? " --objective"
                       : opt.mgpu_only      ? " --mgpu"
                       : opt.race_only      ? " --race"
+                      : opt.workers_only   ? " --workers"
                                            : "";
   if (opt.audit) flags += " --audit";
   if (!opt.check_invariants) flags += " --no-invariants";

@@ -6,14 +6,17 @@
 //
 // Three sweeps per dataset:
 //  * data-parallel sharding x {alltoone, ring, tree} collectives — the ring
-//    schedule must beat the legacy all-to-one at K >= 4 (mgpu_smoke gates
-//    this via the GBDT_ALLTOONE=1 hatch re-run and gbdt_bench --compare);
-//    the ring rows also record an NVLink-interconnect column;
-//  * feature-parallel sharding (ring) — each shard owns a contiguous
-//    column range, trading the node-sync broadcast for per-shard column
-//    locality;
-//  * the histogram trainer on K shards (ring histogram-allreduce) — the
-//    QGH histograms are merged with the same collective machinery.
+//    schedule must beat the legacy all-to-one at K >= 4; the ring rows also
+//    record an NVLink-interconnect column;
+//  * feature-parallel sharding x {alltoone, ring} — each shard owns a
+//    contiguous column range, trading the node-sync broadcast for per-shard
+//    column locality;
+//  * the histogram trainer on K shards x {alltoone, ring}
+//    (histogram-allreduce) — the QGH histograms are merged with the same
+//    collective machinery.
+// Every ring/tree case at K >= 2 thus has an all-to-one partner with the
+// same dataset, shard mode and K; `gbdt_bench --compare-only` gates each
+// against its partner (mgpu_smoke_ring_not_slower).
 #include "bench_common.h"
 #include "multigpu/multi_trainer.h"
 
@@ -106,21 +109,30 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Feature-parallel sharding (ring).
+    // Feature-parallel sharding.
     for (int k : {2, 4, 8}) {
-      multigpu::MultiGpuOptions mo;
-      mo.shard = multigpu::ShardMode::kFeature;
-      run_case(std::string(name) + "_feature_ring_gpus" + std::to_string(k),
-               p, mo, k, base, false);
+      for (const char* algo : {"alltoone", "ring"}) {
+        multigpu::MultiGpuOptions mo;
+        mo.shard = multigpu::ShardMode::kFeature;
+        mo.algo = algo_of(algo);
+        run_case(std::string(name) + "_feature_" + algo + "_gpus" +
+                     std::to_string(k),
+                 p, mo, k, base, false);
+      }
     }
 
-    // Histogram-allreduce mode (data shards, ring).
+    // Histogram-allreduce mode (data shards).
     std::printf("  histogram-allreduce mode:\n");
     GBDTParam ph = p;
     ph.use_hist_trainer = true;
     for (int k : {2, 4}) {
-      run_case(std::string(name) + "_hist_ring_gpus" + std::to_string(k), ph,
-               multigpu::MultiGpuOptions{}, k, 0.0, false);
+      for (const char* algo : {"alltoone", "ring"}) {
+        multigpu::MultiGpuOptions mo;
+        mo.algo = algo_of(algo);
+        run_case(std::string(name) + "_hist_" + algo + "_gpus" +
+                     std::to_string(k),
+                 ph, mo, k, 0.0, false);
+      }
     }
   }
   std::printf(

@@ -58,7 +58,6 @@ struct TuningReport {
   bool use_custom_setkey = true;
   bool use_custom_idxcomp_workload = true;
   std::size_t ooc_chunk_bytes = std::size_t{64} << 20;
-  bool fused_find = true;
 
   // ---- predictions --------------------------------------------------------
   /// Paper default (C = 1000, custom formula on), for the acceptance gate.
@@ -67,8 +66,6 @@ struct TuningReport {
   double tuned_find_split_seconds = 0.0;
   double partition_custom_seconds = 0.0;
   double partition_naive_seconds = 0.0;
-  /// Intermediate traffic the fused find-split avoids per tree.
-  double fused_saving_seconds = 0.0;
 
   // ---- full sweeps (for --profile and EXPERIMENTS.md) ---------------------
   std::vector<SetKeyCandidate> candidates;

@@ -201,8 +201,11 @@ GBDTModel GBDTModel::load(const std::string& path) {
     throw std::runtime_error("corrupt model header: " + path);
   }
   m.param_.loss = static_cast<LossKind>(loss_kind);
-  m.trees_.reserve(n_trees);
-  while (m.trees_.size() < n_trees) m.trees_.push_back(Tree::deserialize(in));
+  // No reserve: n_trees comes from the file, so trees are appended only as
+  // they parse.
+  while (m.trees_.size() < n_trees) {
+    m.trees_.push_back(Tree::deserialize(in, m.trees_.size()));
+  }
   return m;
 }
 

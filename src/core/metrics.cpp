@@ -19,6 +19,19 @@ double rmse(std::span<const double> pred, std::span<const float> label) {
   return std::sqrt(se / static_cast<double>(pred.size()));
 }
 
+double logloss(std::span<const double> prob, std::span<const float> label) {
+  assert(prob.size() == label.size());
+  if (prob.empty()) return 0.0;
+  constexpr double kEps = 1e-15;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < prob.size(); ++i) {
+    const double p = std::clamp(prob[i], kEps, 1.0 - kEps);
+    const double y = static_cast<double>(label[i]);
+    sum -= y * std::log(p) + (1.0 - y) * std::log(1.0 - p);
+  }
+  return sum / static_cast<double>(prob.size());
+}
+
 double error_rate(std::span<const double> pred, std::span<const float> label) {
   assert(pred.size() == label.size());
   if (pred.empty()) return 0.0;

@@ -11,6 +11,12 @@ namespace gbdt {
 [[nodiscard]] double rmse(std::span<const double> pred,
                           std::span<const float> label);
 
+/// Mean binary cross-entropy of probabilities `prob` against labels in
+/// [0, 1]: -(y log p + (1 - y) log(1 - p)).  Probabilities are clamped to
+/// [1e-15, 1 - 1e-15] so a confident miss costs a finite amount.
+[[nodiscard]] double logloss(std::span<const double> prob,
+                             std::span<const float> label);
+
 /// Binary classification error rate with a 0.5 threshold on predictions.
 [[nodiscard]] double error_rate(std::span<const double> pred,
                                 std::span<const float> label);

@@ -28,43 +28,6 @@ using device::DeviceBuffer;
 using prim::elems_in_block;
 using prim::kBlockDim;
 
-namespace {
-
-/// Per-run aggregated first/second derivatives (paper Figure 5): the
-/// gradients of all instances sharing the run's attribute value are added.
-void aggregate_run_gradients(TrainState& st, std::span<GHPair> out) {
-  const std::int64_t n_runs = st.n_runs;
-  auto starts = st.run_starts.span();
-  auto inst = st.inst.span();
-  auto g = st.grad.span();
-  auto h = st.hess.span();
-  st.dev.launch("rle_aggregate_grad", device::grid_for(n_runs, kBlockDim),
-                kBlockDim, [&](BlockCtx& b) {
-                  std::uint64_t touched = 0;
-                  b.for_each_thread([&](std::int64_t r) {
-                    if (r >= n_runs) return;
-                    const auto u = static_cast<std::size_t>(r);
-                    GHPair sum;
-                    b.reads(inst, starts[u], starts[u + 1] - starts[u]);
-                    for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
-                      const auto x = static_cast<std::size_t>(
-                          inst[static_cast<std::size_t>(e)]);
-                      sum += GHPair{g[x], h[x]};
-                      ++touched;
-                    }
-                    out[u] = sum;
-                  });
-                  b.reads_tile(starts, n_runs + 1);
-                  b.writes_tile(out, n_runs);
-                  b.work(touched);
-                  b.mem_coalesced(touched * 4 +
-                                  elems_in_block(b, n_runs) * 32);
-                  b.mem_irregular(touched * 2);  // grad/hess gathers
-                });
-}
-
-}  // namespace
-
 std::vector<BestSplit> find_splits_rle(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
@@ -74,8 +37,6 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
   std::vector<BestSplit> out(st.active.size());
   if (n_runs == 0) return out;
 
-  const bool fused = prim::fused_split_enabled();
-
   st.run_keys = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n_runs));
   {
     obs::ScopedSpan span("set_key");
@@ -83,12 +44,13 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
                    st.segs_per_block(n_seg));
   }
 
-  // Per-run aggregated derivatives + segmented prefix sum + present totals.
-  // Fused mode folds the Figure-5 aggregation into the scan's first phase
-  // (no `rgh` array) and emits the totals as a scan side product.
+  // Per-run aggregated derivatives (paper Figure 5: the gradients of all
+  // instances sharing the run's attribute value are added) + segmented
+  // prefix sum + present totals.  The aggregation runs inside the scan's
+  // first phase, and the totals are a scan side product.
   auto ghl = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_runs));
   auto seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
-  if (fused) {
+  {
     obs::ScopedSpan prefix_span("gain_prefix_sum");
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
@@ -114,50 +76,19 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
           return sum;
         },
         "fused_rle_aggregate_seg_scan");
-  } else {
-    obs::ScopedSpan prefix_span("gain_prefix_sum");
-    auto rgh = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_runs));
-    aggregate_run_gradients(st, rgh.span());
-    prim::segmented_inclusive_scan_by_key(dev, rgh, st.run_keys, ghl,
-                                          "rle_seg_scan_gh");
-    rgh.free();
-
-    // Present totals per segment (value of the scan at the last run).
-    auto roff = st.run_seg_offsets.span();
-    auto scan = ghl.span();
-    auto tot = seg_tot.span();
-    dev.launch("rle_seg_present_totals", device::grid_for(n_seg, kBlockDim),
-               kBlockDim, [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t s) {
-                   if (s >= n_seg) return;
-                   const auto u = static_cast<std::size_t>(s);
-                   const std::int64_t hi = roff[u + 1];
-                   const bool empty = roff[u] == hi;
-                   if (!empty) b.reads(scan, hi - 1);
-                   tot[u] = empty ? GHPair{}
-                                  : scan[static_cast<std::size_t>(hi - 1)];
-                 });
-                 b.reads_tile(roff, n_seg + 1);
-                 b.writes_tile(tot, n_seg);
-                 const auto m = elems_in_block(b, n_seg);
-                 b.mem_coalesced(m * 32);
-                 b.mem_irregular(m);
-               });
   }
 
   auto tables = upload_slot_tables(st);
 
   // Gain per run: no duplicate suppression needed — adjacent runs inside a
-  // segment always carry distinct values.  Fused mode evaluates gains inside
-  // the per-segment argmax walk and keeps only the winners.
+  // segment always carry distinct values.  Gains are evaluated inside the
+  // per-segment argmax walk, which keeps only the winners.
   auto best_seg_val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
   auto best_seg_idx =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
-  device::ArenaBuffer<std::uint8_t> best_seg_dir;
-  device::ArenaBuffer<double> gains;
-  device::ArenaBuffer<std::uint8_t> dirs;
-  if (fused) {
-    best_seg_dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  auto best_seg_dir =
+      st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  {
     obs::ScopedSpan span("compute_gains");
     auto starts = st.run_starts.span();
     auto scan = ghl.span();
@@ -226,86 +157,6 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
           return prim::GainDir{gain_r, 0};
         },
         "fused_rle_gain_argmax");
-  } else {
-    gains = st.arena.alloc<double>(static_cast<std::size_t>(n_runs));
-    dirs = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_runs));
-    obs::ScopedSpan span("compute_gains");
-    auto k = st.run_keys.span();
-    auto roff = st.run_seg_offsets.span();
-    auto starts = st.run_starts.span();
-    auto scan = ghl.span();
-    auto tot = seg_tot.span();
-    auto stats = tables.stats.span();
-    auto gn = gains.span();
-    auto dr = dirs.span();
-    const auto fm = st.feature_mask;
-    dev.launch("rle_compute_gains", device::grid_for(n_runs, kBlockDim),
-               kBlockDim, [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t r) {
-                   if (r >= n_runs) return;
-                   const auto u = static_cast<std::size_t>(r);
-                   const auto seg = static_cast<std::size_t>(k[u]);
-                   // Attributes outside this tree's feature bag yield no
-                   // splits (mask, not compaction).
-                   if (!fm.empty() &&
-                       fm[seg % static_cast<std::size_t>(n_attr)] == 0) {
-                     gn[u] = 0.0;
-                     dr[u] = 0;
-                     return;
-                   }
-                   const std::int64_t run_lo = roff[seg];
-                   const std::int64_t run_hi = roff[seg + 1];
-                   const std::int64_t elem_lo =
-                       starts[static_cast<std::size_t>(run_lo)];
-                   const std::int64_t elem_hi =
-                       starts[static_cast<std::size_t>(run_hi)];
-                   const auto slot = static_cast<std::size_t>(
-                       static_cast<std::int64_t>(seg) / n_attr);
-                   const double node_g = stats[slot].g;
-                   const double node_h = stats[slot].h;
-                   const std::int64_t cnt = stats[slot].cnt;
-                   const std::int64_t seg_len = elem_hi - elem_lo;
-                   const std::int64_t miss = cnt - seg_len;
-                   const double miss_g = node_g - tot[seg].g;
-                   const double miss_h = node_h - tot[seg].h;
-                   const std::int64_t pos = starts[u + 1] - elem_lo;
-                   const double glp = scan[u].g;
-                   const double hlp = scan[u].h;
-
-                   double gain_r = 0.0;
-                   if (pos > 0 && cnt - pos > 0) {
-                     gain_r = split_gain(glp, hlp, node_g - glp, node_h - hlp,
-                                         lambda);
-                   }
-                   // With no missing instances the default direction is
-                   // irrelevant; evaluating only one keeps it deterministic
-                   // across the sparse/RLE/CPU paths.
-                   double gain_l = 0.0;
-                   if (miss > 0 && seg_len - pos > 0) {
-                     gain_l = split_gain(glp + miss_g, hlp + miss_h,
-                                         node_g - glp - miss_g,
-                                         node_h - hlp - miss_h, lambda);
-                   }
-                   if (gain_l > gain_r) {
-                     gn[u] = gain_l;
-                     dr[u] = 1;
-                   } else {
-                     gn[u] = gain_r;
-                     dr[u] = 0;
-                   }
-                 });
-                 b.reads_tile(k, n_runs);
-                 b.reads_tile(scan, n_runs);
-                 b.writes_tile(gn, n_runs);
-                 b.writes_tile(dr, n_runs);
-                 if (!fm.empty()) {
-                   b.reads(fm, 0, static_cast<std::int64_t>(fm.size()));
-                 }
-                 const auto m = elems_in_block(b, n_runs);
-                 b.mem_coalesced(m * 49);
-                 b.mem_irregular(m);  // seg-table lookups
-                 b.flop(m * 16);
-               });
   }
 
   auto d_node_offs = device_node_offsets(st, st.n_active(), n_attr);
@@ -313,11 +164,6 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
   auto best_node_idx = st.arena.alloc<std::int64_t>(st.active.size());
   {
     obs::ScopedSpan span("setkey_argmax");
-    if (!fused) {
-      prim::segmented_arg_max(dev, gains, st.run_seg_offsets, best_seg_val,
-                              best_seg_idx, st.segs_per_block(n_seg),
-                              "rle_seg_best_gain");
-    }
     prim::segmented_arg_max(dev, best_seg_val, d_node_offs, best_node_val,
                             best_node_idx, 1, "rle_node_best_gain");
   }
@@ -340,7 +186,7 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
     b.pos = pos;
     b.attr = static_cast<std::int32_t>(seg % n_attr);
     b.split_value = st.run_values[upos];
-    b.default_left = fused ? best_seg_dir[useg] != 0 : dirs[upos] != 0;
+    b.default_left = best_seg_dir[useg] != 0;
 
     const std::int64_t run_lo = st.run_seg_offsets[useg];
     const std::int64_t run_hi = st.run_seg_offsets[useg + 1];

@@ -3,7 +3,6 @@
 // per-candidate gain with duplicate suppression and learned missing-value
 // direction, SetKey segmented argmax, then the order-preserving histogram
 // partition of the attribute lists.
-#include <span>
 #include <vector>
 
 #include "core/trainer_detail.h"
@@ -22,65 +21,6 @@ using device::DeviceBuffer;
 using prim::elems_in_block;
 using prim::kBlockDim;
 
-namespace {
-
-/// Gathers per-instance gradients into element order (irregular: the paper's
-/// motivation for keeping everything else streaming).
-void gather_gradients(TrainState& st, std::span<GHPair> out) {
-  const std::int64_t n = st.n_elems;
-  // With the dense layout (the xgbst-gpu baseline), the node-interleaved
-  // gradient copies exist precisely to make this gather coalesced — that is
-  // the lookup-speed advantage the paper observes for xgbst-gpu on susy.
-  // The sparse CSC layout pays truly random (g, h) fetches instead.
-  const bool interleaved = st.param.dense_layout;
-  auto inst = st.inst.span();
-  auto g = st.grad.span();
-  auto h = st.hess.span();
-  st.dev.launch("gather_gradients", device::grid_for(n, kBlockDim), kBlockDim,
-                [&](BlockCtx& b) {
-                  b.for_each_thread([&](std::int64_t i) {
-                    if (i >= n) return;
-                    const auto u = static_cast<std::size_t>(i);
-                    const auto x = static_cast<std::size_t>(inst[u]);
-                    out[u] = GHPair{g[x], h[x]};
-                    b.reads(g, inst[u]);
-                    b.reads(h, inst[u]);
-                  });
-                  b.reads_tile(inst, n);
-                  b.writes_tile(out, n);
-                  const auto m = elems_in_block(b, n);
-                  b.mem_coalesced(m * 20);
-                  b.mem_irregular(interleaved ? m / 4 : m * 2);
-                });
-}
-
-/// Present-value totals per segment: the segmented scan's value at the last
-/// element of the segment (0 for empty segments).
-void segment_present_totals(TrainState& st, std::span<const GHPair> scan,
-                            std::span<GHPair> tot) {
-  const std::int64_t n_seg = st.n_seg();
-  auto off = st.seg_offsets.span();
-  st.dev.launch("seg_present_totals", device::grid_for(n_seg, kBlockDim),
-                kBlockDim, [&](BlockCtx& b) {
-                  b.for_each_thread([&](std::int64_t s) {
-                    if (s >= n_seg) return;
-                    const auto u = static_cast<std::size_t>(s);
-                    const std::int64_t hi = off[u + 1];
-                    const bool empty = off[u] == hi;
-                    tot[u] = empty ? GHPair{}
-                                   : scan[static_cast<std::size_t>(hi - 1)];
-                    if (!empty) b.reads(scan, hi - 1);
-                  });
-                  b.reads_tile(off, n_seg + 1);
-                  b.writes_tile(tot, n_seg);
-                  const auto m = elems_in_block(b, n_seg);
-                  b.mem_coalesced(m * 32);
-                  b.mem_irregular(m);
-                });
-}
-
-}  // namespace
-
 std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n = st.n_elems;
@@ -90,54 +30,42 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   std::vector<BestSplit> out(st.active.size());
   if (n == 0) return out;
 
-  const bool fused = prim::fused_split_enabled();
-
   // Segment key per element (Customized SetKey / naive one-block-per-seg).
-  // Keys stay materialized even in the fused pipeline: they are cheap to
-  // write, the apply phase reuses them, and keeping the scan's key reads
-  // identical is what makes fused == unfused bitwise trivial to audit.
+  // The scan reads them, and the apply phase reuses them.
   st.keys = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n));
   {
     obs::ScopedSpan span("set_key");
     prim::set_keys(dev, st.seg_offsets, st.keys, st.segs_per_block(n_seg));
   }
 
-  // g/h in attribute order, then one fused segmented prefix sum (Figure 1).
-  // Fused mode pulls each (g, h) pair straight from the gradient arrays in
-  // the scan's first phase (no `ghe`) and emits the per-segment present
-  // totals as a scan side product (no seg_present_totals pass).
+  // g/h in attribute order, then one segmented prefix sum (Figure 1).  The
+  // scan's first phase pulls each (g, h) pair straight from the gradient
+  // arrays, and the per-segment present totals are a scan side product.
   auto ghl = st.arena.alloc<GHPair>(static_cast<std::size_t>(n));
   auto seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
   {
     obs::ScopedSpan span("gain_prefix_sum");
-    if (fused) {
-      const bool interleaved = st.param.dense_layout;
-      auto inst = st.inst.span();
-      auto g = st.grad.span();
-      auto h = st.hess.span();
-      prim::fused_gather_scan_totals(
-          dev, st.arena, st.keys, ghl, seg_tot,
-          [inst, g, h, interleaved](BlockCtx& b, std::int64_t i) {
-            const auto u = static_cast<std::size_t>(i);
-            const auto x = static_cast<std::size_t>(inst[u]);
-            b.reads(inst, i);
-            b.reads(g, inst[u]);
-            b.reads(h, inst[u]);
-            b.mem_coalesced(sizeof(std::int32_t));
-            // Same per-element cost as the unfused gather's m/4 (dense
-            // interleaved layout) vs m*2 (random CSC fetches).
-            b.mem_irregular(interleaved ? (i % 4 == 0 ? 1 : 0) : 2);
-            return GHPair{g[x], h[x]};
-          },
-          "fused_gather_seg_scan");
-    } else {
-      auto ghe = st.arena.alloc<GHPair>(static_cast<std::size_t>(n));
-      gather_gradients(st, ghe.span());
-      prim::segmented_inclusive_scan_by_key(dev, ghe, st.keys, ghl,
-                                            "seg_scan_gh");
-      ghe.free();
-      segment_present_totals(st, ghl.span(), seg_tot.span());
-    }
+    const bool interleaved = st.param.dense_layout;
+    auto inst = st.inst.span();
+    auto g = st.grad.span();
+    auto h = st.hess.span();
+    prim::fused_gather_scan_totals(
+        dev, st.arena, st.keys, ghl, seg_tot,
+        [inst, g, h, interleaved](BlockCtx& b, std::int64_t i) {
+          const auto u = static_cast<std::size_t>(i);
+          const auto x = static_cast<std::size_t>(inst[u]);
+          b.reads(inst, i);
+          b.reads(g, inst[u]);
+          b.reads(h, inst[u]);
+          b.mem_coalesced(sizeof(std::int32_t));
+          // The dense layout (the xgbst-gpu baseline) keeps node-interleaved
+          // gradient copies precisely so this gather coalesces: one
+          // irregular fetch per four elements.  The sparse CSC layout pays
+          // two random (g, h) fetches per element.
+          b.mem_irregular(interleaved ? (i % 4 == 0 ? 1 : 0) : 2);
+          return GHPair{g[x], h[x]};
+        },
+        "fused_gather_seg_scan");
   }
 
   auto tables = upload_slot_tables(st);
@@ -146,17 +74,14 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   // duplicated values are suppressed so that the same split point cannot
   // carry two different gains; we keep the *last* occurrence, whose inclusive
   // prefix covers every instance with a value >= the split value (this also
-  // makes the RLE path agree exactly).  Fused mode evaluates gains inside the
-  // per-segment argmax walk and keeps only the winners — the full
-  // gains/dirs arrays exist only on the unfused escape hatch.
+  // makes the RLE path agree exactly).  Gains are evaluated inside the
+  // per-segment argmax walk, which keeps only the winners.
   auto best_seg_val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
   auto best_seg_idx =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
-  device::ArenaBuffer<std::uint8_t> best_seg_dir;
-  device::ArenaBuffer<double> gains;
-  device::ArenaBuffer<std::uint8_t> dirs;
-  if (fused) {
-    best_seg_dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  auto best_seg_dir =
+      st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  {
     obs::ScopedSpan span("compute_gains");
     auto v = st.values.span();
     auto scan = ghl.span();
@@ -176,8 +101,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
           if (e == seg_lo) {
             // Segment-invariant loads: the walk fetches the segment total and
             // the packed slot stats once and keeps them in registers for the
-            // rest of the segment — this, not the arithmetic, is the fused
-            // kernel's edge over the per-element unfused gains kernel.
+            // rest of the segment.
             b.reads(tot, s);
             b.reads(stats, s / n_attr);
             if (!fm.empty()) b.reads(fm, s % n_attr);
@@ -189,8 +113,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
             return prim::GainDir{};
           }
           // Duplicate suppression (paper Section III-B step ii): a zero gain
-          // loses to any positive candidate, exactly like the zeroed entries
-          // of the unfused gains array.
+          // loses to any positive candidate.
           if (e + 1 < seg_hi) {
             b.reads(v, e + 1);
             b.mem_coalesced(sizeof(float));
@@ -229,106 +152,16 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
           return prim::GainDir{gain_r, 0};
         },
         "fused_gain_argmax");
-  } else {
-    gains = st.arena.alloc<double>(static_cast<std::size_t>(n));
-    dirs = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n));
-    obs::ScopedSpan span("compute_gains");
-    auto v = st.values.span();
-    auto k = st.keys.span();
-    auto off = st.seg_offsets.span();
-    auto scan = ghl.span();
-    auto tot = seg_tot.span();
-    auto stats = tables.stats.span();
-    auto gn = gains.span();
-    auto dr = dirs.span();
-    const auto fm = st.feature_mask;
-    dev.launch("compute_gains", device::grid_for(n, kBlockDim), kBlockDim,
-               [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t e) {
-                   if (e >= n) return;
-                   const auto u = static_cast<std::size_t>(e);
-                   const auto seg = static_cast<std::size_t>(k[u]);
-                   const std::int64_t seg_lo = off[seg];
-                   const std::int64_t seg_hi = off[seg + 1];
-                   // Attributes outside this tree's feature bag yield no
-                   // splits (mask, not compaction).
-                   if (!fm.empty() &&
-                       fm[seg % static_cast<std::size_t>(n_attr)] == 0) {
-                     gn[u] = 0.0;
-                     dr[u] = 0;
-                     return;
-                   }
-                   // Duplicate suppression (paper Section III-B step ii).
-                   if (e + 1 < seg_hi && v[u + 1] == v[u]) {
-                     gn[u] = 0.0;
-                     dr[u] = 0;
-                     return;
-                   }
-                   const auto slot = static_cast<std::size_t>(
-                       static_cast<std::int64_t>(seg) / n_attr);
-                   const double node_g = stats[slot].g;
-                   const double node_h = stats[slot].h;
-                   const std::int64_t cnt = stats[slot].cnt;
-                   const std::int64_t seg_len = seg_hi - seg_lo;
-                   const std::int64_t miss = cnt - seg_len;
-                   const double miss_g = node_g - tot[seg].g;
-                   const double miss_h = node_h - tot[seg].h;
-                   const std::int64_t pos = e - seg_lo + 1;  // left presents
-                   const double glp = scan[u].g;
-                   const double hlp = scan[u].h;
-
-                   // Missing values default right.
-                   double gain_r = 0.0;
-                   if (pos > 0 && cnt - pos > 0) {
-                     gain_r = split_gain(glp, hlp, node_g - glp, node_h - hlp,
-                                         lambda);
-                   }
-                   // Missing values default left.
-                   // With no missing instances the default direction is
-                   // irrelevant; evaluating only one keeps it deterministic
-                   // across the sparse/RLE/CPU paths.
-                   double gain_l = 0.0;
-                   if (miss > 0 && seg_len - pos > 0) {
-                     gain_l = split_gain(glp + miss_g, hlp + miss_h,
-                                         node_g - glp - miss_g,
-                                         node_h - hlp - miss_h, lambda);
-                   }
-                   if (gain_l > gain_r) {
-                     gn[u] = gain_l;
-                     dr[u] = 1;
-                   } else {
-                     gn[u] = gain_r;
-                     dr[u] = 0;
-                   }
-                 });
-                 b.reads_tile(v, n);
-                 b.reads_tile(k, n);
-                 b.reads_tile(scan, n);
-                 b.writes_tile(gn, n);
-                 b.writes_tile(dr, n);
-                 if (!fm.empty()) {
-                   b.reads(fm, 0, static_cast<std::int64_t>(fm.size()));
-                 }
-                 const auto m = elems_in_block(b, n);
-                 b.mem_coalesced(m * 41);  // v, v+1, keys, gl, hl, gains, dir
-                 b.mem_irregular(m / 2);   // seg/slot table lookups
-                 b.flop(m * 16);
-               });
   }
 
   // Best candidate per segment, then best attribute per node (paper step iii:
-  // segmented reduction + reduction).  The fused pipeline already produced
-  // the per-segment winners above.
+  // segmented reduction + reduction).  The gain walk above already produced
+  // the per-segment winners.
   auto d_node_offs = device_node_offsets(st, st.n_active(), n_attr);
   auto best_node_val = st.arena.alloc<double>(st.active.size());
   auto best_node_idx = st.arena.alloc<std::int64_t>(st.active.size());
   {
     obs::ScopedSpan span("setkey_argmax");
-    if (!fused) {
-      prim::segmented_arg_max(dev, gains, st.seg_offsets, best_seg_val,
-                              best_seg_idx, st.segs_per_block(n_seg),
-                              "seg_best_gain");
-    }
     prim::segmented_arg_max(dev, best_seg_val, d_node_offs, best_node_val,
                             best_node_idx, 1, "node_best_gain");
   }
@@ -353,7 +186,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
     b.pos = pos;
     b.attr = static_cast<std::int32_t>(seg % n_attr);
     b.split_value = st.values[upos];
-    b.default_left = fused ? best_seg_dir[useg] != 0 : dirs[upos] != 0;
+    b.default_left = best_seg_dir[useg] != 0;
 
     const std::int64_t seg_lo = st.seg_offsets[useg];
     const std::int64_t seg_hi = st.seg_offsets[useg + 1];

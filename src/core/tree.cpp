@@ -144,19 +144,36 @@ void Tree::serialize(std::ostream& out) const {
   }
 }
 
-Tree Tree::deserialize(std::istream& in) {
+Tree Tree::deserialize(std::istream& in, std::size_t tree_index) {
   std::size_t count = 0;
   if (!(in >> count) || count == 0) {
     throw std::runtime_error("tree deserialize: bad node count");
   }
+  // Nodes are appended as they parse, so a count larger than the data
+  // fails as truncated instead of allocating it up front.
   Tree t;
-  t.nodes_.assign(count, TreeNode{});
-  for (auto& n : t.nodes_) {
+  t.nodes_.clear();
+  while (t.nodes_.size() < count) {
+    const std::size_t i = t.nodes_.size();
+    TreeNode n;
     if (!(in >> n.left >> n.right >> n.attr >> n.split_value >>
           n.default_left >> n.weight >> n.gain >> n.n_instances >> n.sum_g >>
           n.sum_h)) {
       throw std::runtime_error("tree deserialize: truncated node data");
     }
+    const auto after_in_range = [&](std::int32_t child) {
+      return child >= 0 && static_cast<std::size_t>(child) > i &&
+             static_cast<std::size_t>(child) < count;
+    };
+    if (!n.is_leaf() &&
+        !(after_in_range(n.left) && after_in_range(n.right))) {
+      throw TreeFormatError(
+          "tree " + std::to_string(tree_index) + " node " + std::to_string(i) +
+          ": children " + std::to_string(n.left) + "/" +
+          std::to_string(n.right) + " must lie in (" + std::to_string(i) +
+          ", " + std::to_string(count) + ")");
+    }
+    t.nodes_.push_back(n);
   }
   return t;
 }

@@ -10,10 +10,17 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace gbdt {
+
+/// A serialized tree whose structure cannot be walked safely.
+class TreeFormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 struct TreeNode {
   std::int32_t left = -1;   // -1 => leaf
@@ -74,7 +81,12 @@ class Tree {
                                            double tol = 1e-9);
 
   void serialize(std::ostream& out) const;
-  [[nodiscard]] static Tree deserialize(std::istream& in);
+  /// Reads one tree written by serialize().  Every split node's children must
+  /// lie in range and after the node itself (split() appends them), which is
+  /// what guarantees prediction walks terminate; a node that breaks this
+  /// throws TreeFormatError naming `tree_index` and the node.
+  [[nodiscard]] static Tree deserialize(std::istream& in,
+                                        std::size_t tree_index = 0);
 
  private:
   std::vector<TreeNode> nodes_;

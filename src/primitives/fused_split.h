@@ -1,44 +1,35 @@
 // Fused find-split primitives (paper Sec. III-B hot loop).
 //
-// The unfused find-split sequence runs 5-6 full passes over every attribute
-// list per level:
+// The paper's find-split is one pipeline per level:
 //
-//   gather_gradients -> seg_scan (3 phases) -> seg_present_totals
-//     -> compute_gains -> segmented_arg_max
+//   gather (g, h) -> segmented prefix sum -> gain -> segmented argmax
 //
-// materialising a gathered (g,h) array (`ghe`), full per-element `gains` and
-// `dirs` arrays, and reading the scan output twice more.  The two fused
-// primitives below collapse that pipeline:
+// Run as separate kernels it would make 5-6 full passes over every attribute
+// list, materialising a gathered (g, h) array, full per-element gain and
+// direction arrays, and reading the scan output twice more.  The two
+// primitives below run it in two kernels instead:
 //
 //  * fused_gather_scan_totals — the segmented scan's per-block phase pulls
 //    each element straight from the gradient arrays via a caller-supplied
-//    load functor, so `ghe` never exists; per-segment present totals are
-//    emitted as a side product (interior segment ends directly from phase 1,
-//    each block's leading-run end finalised in the carry pass), so the
-//    separate seg_present_totals pass disappears.
+//    load functor, so no gathered array exists; per-segment present totals
+//    are emitted as a side product (interior segment ends directly from
+//    phase 1, each block's leading-run end finalised in the carry pass).
 //  * fused_gain_argmax — gain computation, duplicate-split suppression and
 //    the per-segment argmax run in one offsets-driven kernel that keeps a
 //    running block-local best (gain, index, direction) and writes only the
-//    per-segment winners; the full `gains`/`dirs` arrays disappear.
+//    per-segment winners.
 //
-// Bit-identity with the unfused path (swept by the fuzz oracle under
-// GBDT_UNFUSED_SPLIT): the scan keeps the exact per-block sequential
-// association order and the exact carry/fixup addition order (`run + carry`),
-// totals equal the post-fixup scan value of each segment's last element, and
-// the argmax applies the same `best_i < 0 || gain > best` lowest-index
-// tie-break over the same ascending element order the unfused
-// compute_gains + segmented_arg_max pair uses.
-//
-// The escape hatch: set GBDT_UNFUSED_SPLIT=1 (or "on"/"true") in the
-// environment, or call set_fused_split_enabled(false), to route the trainers
-// through the historical unfused kernels.
+// Both are deterministic at any worker count: the scan keeps the per-block
+// sequential association order of segmented_inclusive_scan_by_key and its
+// carry/fixup addition order (`run + carry`), totals equal the post-fixup
+// scan value of each segment's last element, and the argmax applies
+// segmented_arg_max's `best_i < 0 || gain > best` lowest-index tie-break
+// over ascending element order.  test_fused_split.cpp pins both against
+// those reference primitives bit for bit.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <string_view>
 
 #include "device/device_context.h"
@@ -46,37 +37,6 @@
 #include "primitives/transform.h"
 
 namespace gbdt::prim {
-
-namespace fused_detail {
-
-inline bool unfused_env() {
-  const char* v = std::getenv("GBDT_UNFUSED_SPLIT");
-  if (v == nullptr) return false;
-  return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||
-         std::strcmp(v, "true") == 0;
-}
-
-inline std::atomic<int>& fused_flag() {
-  static std::atomic<int> flag{-1};  // -1: read the environment lazily
-  return flag;
-}
-
-}  // namespace fused_detail
-
-/// True unless GBDT_UNFUSED_SPLIT is set (or a test forced the old path).
-[[nodiscard]] inline bool fused_split_enabled() {
-  int s = fused_detail::fused_flag().load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = fused_detail::unfused_env() ? 0 : 1;
-    fused_detail::fused_flag().store(s, std::memory_order_relaxed);
-  }
-  return s == 1;
-}
-
-/// Test/tool override; wins over the environment.
-inline void set_fused_split_enabled(bool on) {
-  fused_detail::fused_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 /// One gain evaluation: the candidate's gain and split direction
 /// (1 = missing values go left, 0 = right).
@@ -163,9 +123,9 @@ void fused_gather_scan_totals(device::Device& dev,
     b.mem_irregular(totals_written);  // scattered segment-total stores
   });
 
-  // Carry pass: the sequential block walk of the unfused scan, plus the
-  // fold-in of seg_present_totals — each block's deferred leading-run end
-  // becomes final once its incoming carry is known.
+  // Carry pass: the sequential block walk of segmented_inclusive_scan_by_key,
+  // plus the segment totals — each block's deferred leading-run end becomes
+  // final once its incoming carry is known.
   dev.launch("fused_scan_carries", 1, kBlockDim, [&](device::BlockCtx& b) {
     T carry{};
     std::uint64_t totals_written = 0;
@@ -201,7 +161,7 @@ void fused_gather_scan_totals(device::Device& dev,
     b.mem_irregular(totals_written);
   });
 
-  // Fixup: identical to the unfused seg_scan_fixup — adds the incoming carry
+  // Fixup: identical to the reference scan's fixup — adds the incoming carry
   // to each block's leading run.
   dev.launch("fused_scan_fixup", grid, kBlockDim, [&](device::BlockCtx& b) {
     const T incoming = cr[static_cast<std::size_t>(b.block_idx())];
@@ -228,12 +188,11 @@ void fused_gather_scan_totals(device::Device& dev,
 ///
 /// `eval(b, s, e, seg_lo, seg_hi)` returns element e's candidate GainDir,
 /// declaring its own audit reads and accounting its own traffic (suppressed
-/// duplicates return gain 0.0 so they lose to any positive candidate, exactly
-/// like the zeroed entries of the unfused `gains` array).  Each block walks
-/// `segs_per_block` consecutive segments in ascending element order keeping a
-/// running best with the unfused lowest-index tie-break, then writes only the
-/// per-segment winner (value, element index, direction); empty segments get
-/// (0.0, -1, 0) like the unfused segmented_arg_max.
+/// duplicates return gain 0.0 so they lose to any positive candidate).  Each
+/// block walks `segs_per_block` consecutive segments in ascending element
+/// order keeping a running best with segmented_arg_max's lowest-index
+/// tie-break, then writes only the per-segment winner (value, element index,
+/// direction); empty segments get (0.0, -1, 0) like segmented_arg_max.
 template <typename OffBuf, typename BestValBuf, typename BestIdxBuf,
           typename BestDirBuf, typename EvalFn>
 void fused_gain_argmax(device::Device& dev, const OffBuf& seg_offsets,

@@ -22,7 +22,6 @@
 #include "multigpu/allreduce.h"
 #include "multigpu/multi_trainer.h"
 #include "obs/trace.h"
-#include "primitives/fused_split.h"
 #include "serve/service.h"
 #include "testing/invariants.h"
 
@@ -365,46 +364,6 @@ OracleResult run_oracle(const FuzzCase& c, bool check_invariants) {
         return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
       },
       ref, 1e-7, ds.labels()));
-
-  // Fused vs unfused find-split pipeline: the GBDT_UNFUSED_SPLIT escape
-  // hatch must reproduce the fused trees bit for bit on every path (only
-  // the modeled cost accounting may differ between the modes).
-  {
-    const bool was_fused = prim::fused_split_enabled();
-    auto fused_pair_leg = [&](const GBDTParam& p, const std::string& name) {
-      LegOutput fused;
-      prim::set_fused_split_enabled(true);
-      try {
-        Device dev(DeviceConfig::titan_x_pascal());
-        auto r = GpuGbdtTrainer(dev, p).train(ds);
-        fused = LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
-      } catch (const std::exception& e) {
-        LegResult leg;
-        leg.name = name;
-        leg.ran = true;
-        leg.detail = std::string("fused trainer threw: ") + e.what();
-        result.legs.push_back(std::move(leg));
-        prim::set_fused_split_enabled(was_fused);
-        return;
-      }
-      prim::set_fused_split_enabled(false);
-      result.legs.push_back(run_leg(
-          name,
-          [&] {
-            Device dev(DeviceConfig::titan_x_pascal());
-            auto r = GpuGbdtTrainer(dev, p).train(ds);
-            return LegOutput{std::move(r.trees), std::move(r.train_scores),
-                             1.0};
-          },
-          fused, 0.0, ds.labels()));
-      prim::set_fused_split_enabled(was_fused);
-    };
-    fused_pair_leg(base, "unfused_vs_fused_sparse");
-    GBDTParam p = base;
-    p.use_rle = true;
-    p.force_rle = true;
-    fused_pair_leg(p, "unfused_vs_fused_rle");
-  }
 
   result.legs.push_back(hist_leg(c, ref, ds));
 
@@ -764,24 +723,12 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
     auto r = trainer.train(ds);
     return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
   };
-  // Runs `body` with the GBDT_ALLTOONE hatch armed, restoring the
-  // environment state afterwards even when the trainer throws.
-  auto with_alltoone = [&](const std::function<LegOutput()>& body) {
-    multigpu::set_alltoone_forced(1);
-    try {
-      LegOutput out = body();
-      multigpu::set_alltoone_forced(-1);
-      return out;
-    } catch (...) {
-      multigpu::set_alltoone_forced(-1);
-      throw;
-    }
-  };
-
   const multigpu::MultiGpuOptions ring_opts;  // data-parallel, ring
+  multigpu::MultiGpuOptions alltoone_opts;
+  alltoone_opts.algo = multigpu::AllreduceAlgo::kAllToOne;
 
-  // Exact path: the ring-merged forest is the reference; the hatch, the
-  // tree collective and feature sharding are compared against it.
+  // Exact path: the ring-merged forest is the reference; the all-to-one and
+  // tree collectives and feature sharding are compared against it.
   bool have_ring = false;
   LegOutput ring_ref;
   try {
@@ -798,7 +745,7 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
   if (have_ring) {
     result.legs.push_back(run_leg(
         "ring_vs_alltoone",
-        [&] { return with_alltoone([&] { return mgpu_run(base, ring_opts); }); },
+        [&] { return mgpu_run(base, alltoone_opts); },
         ring_ref, 0.0, ds.labels()));
 
     result.legs.push_back(run_leg(
@@ -848,7 +795,7 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
 
     result.legs.push_back(run_leg(
         "hist_ring_vs_alltoone",
-        [&] { return with_alltoone([&] { return mgpu_run(hist, ring_opts); }); },
+        [&] { return mgpu_run(hist, alltoone_opts); },
         hist_ref, 0.0, ds.labels()));
   }
 

@@ -145,6 +145,16 @@ TEST_F(CliTest, LogisticLossFlag) {
                      "--model=/tmp/gbdt_cli_bin.model --trees=5 --depth=3 "
                      "--loss=logistic");
   ASSERT_EQ(r.exit_code, 0) << r.output;
+  // Logistic fits are reported over probabilities, not raw margins.
+  EXPECT_NE(r.output.find("train logloss "), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("train error "), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("train rmse"), std::string::npos) << r.output;
+  const auto g = run("train --data=/tmp/gbdt_cli_bin.libsvm "
+                     "--model=/tmp/gbdt_cli_bin.model --trees=3 --depth=3 "
+                     "--loss=logistic --gpus=2");
+  ASSERT_EQ(g.exit_code, 0) << g.output;
+  EXPECT_NE(g.output.find("train logloss "), std::string::npos) << g.output;
+  EXPECT_NE(g.output.find("train error "), std::string::npos) << g.output;
 }
 
 TEST_F(CliTest, PaperDatasetSynth) {

@@ -1,5 +1,5 @@
 // Ranking/classification metric tests: NDCG@k (ties, cutoff, degenerate
-// queries) and AUC (tied-rank averaging, degenerate classes).
+// queries), AUC (tied-rank averaging, degenerate classes) and log loss.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -117,6 +117,20 @@ TEST(Auc, LabelThresholdAtHalf) {
   const std::vector<double> pred{0.9, 0.1};
   const std::vector<float> label{0.8f, 0.2f};
   EXPECT_DOUBLE_EQ(auc(pred, label), 1.0);
+}
+
+TEST(Logloss, MatchesCrossEntropyAndClampsCertainMisses) {
+  const std::vector<double> prob{0.8, 0.25};
+  const std::vector<float> label{1.f, 0.f};
+  EXPECT_NEAR(logloss(prob, label), -(std::log(0.8) + std::log(0.75)) / 2.0,
+              1e-15);
+  // A certain, correct prediction costs (almost) nothing; a certain miss is
+  // clamped to a finite -log(1e-15).
+  EXPECT_NEAR(logloss(std::vector<double>{1.0}, std::vector<float>{1.f}), 0.0,
+              1e-12);
+  EXPECT_NEAR(logloss(std::vector<double>{0.0}, std::vector<float>{1.f}),
+              -std::log(1e-15), 1e-9);
+  EXPECT_DOUBLE_EQ(logloss(std::vector<double>{}, std::vector<float>{}), 0.0);
 }
 
 }  // namespace

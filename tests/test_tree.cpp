@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/gbdt.h"
 #include "core/loss.h"
@@ -105,6 +106,9 @@ TEST(Tree, DeserializeRejectsGarbage) {
   EXPECT_THROW((void)Tree::deserialize(bad), std::runtime_error);
   std::stringstream truncated("3\n1 2 0 0.5 0 0 1 10 0 0\n");
   EXPECT_THROW((void)Tree::deserialize(truncated), std::runtime_error);
+  // A node count far beyond the data is truncation, not an allocation.
+  std::stringstream huge("1000000000000\n-1 -1 -1 0 0 0.5 0 1 0 0\n");
+  EXPECT_THROW((void)Tree::deserialize(huge), std::runtime_error);
 }
 
 TEST(Tree, SameStructureDetectsDifferences) {
@@ -188,6 +192,43 @@ TEST(Model, LoadRejectsWrongMagic) {
   EXPECT_THROW((void)GBDTModel::load(path), std::runtime_error);
   EXPECT_THROW((void)GBDTModel::load("/tmp/gbdt_missing_file.txt"),
                std::runtime_error);
+}
+
+/// Writes a one-header model file holding `trees` (serialized tree text)
+/// and returns the error GBDTModel::load throws on it ("" if none).
+std::string load_error(const std::string& path, std::size_t n_trees,
+                       const std::string& trees) {
+  {
+    std::ofstream out(path);
+    out << "gpu-gbdt-model v2\n0.5 0 2 " << n_trees << "\n" << trees;
+  }
+  try {
+    (void)GBDTModel::load(path);
+  } catch (const TreeFormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A split node whose child is itself or an earlier node would send
+// prediction walks around a cycle forever; the loader must refuse both.
+TEST(Model, LoadRejectsChildCycles) {
+  const std::string leaf = "-1 -1 -1 0 0 0.25 0 5 0 0\n";
+  const std::string valid = "3\n1 2 0 0.5 0 0 1 10 0 0\n" + leaf + leaf;
+
+  const std::string self_loop = "3\n0 2 0 0.5 0 0 1 10 0 0\n" + leaf + leaf;
+  const std::string err_self =
+      load_error("/tmp/gbdt_self_loop_model.txt", 1, self_loop);
+  EXPECT_NE(err_self.find("tree 0 node 0"), std::string::npos) << err_self;
+
+  // Second tree, node 2 -> node 0: a cycle through the root.
+  const std::string backward = "4\n1 2 0 0.5 0 0 1 10 0 0\n" + leaf +
+                               "3 0 1 0.5 0 0 1 5 0 0\n" + leaf;
+  const std::string err_back =
+      load_error("/tmp/gbdt_backward_model.txt", 2, valid + backward);
+  EXPECT_NE(err_back.find("tree 1 node 2"), std::string::npos) << err_back;
+
+  EXPECT_EQ(load_error("/tmp/gbdt_valid_model.txt", 1, valid), "");
 }
 
 }  // namespace

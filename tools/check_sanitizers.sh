@@ -14,8 +14,8 @@
 # default devices the launches predicted to take at least 200 us.  Launches
 # under an armed auditor or race detector run inline.
 # The TSan lane runs the unit, property,
-# bench_smoke, hist_smoke, serve_smoke, race_smoke, objective_smoke and
-# mgpu_smoke labels (the
+# bench_smoke, hist_smoke, serve_smoke, race_smoke, objective_smoke,
+# mgpu_smoke and workers_smoke labels (the
 # concurrency-relevant suites: every kernel launch exercises the thread
 # pool, the bench smoke drives the observability hooks — trace spans,
 # metrics shards — from those workers, the hist smoke hammers the privatized
@@ -30,7 +30,9 @@
 # masking and LambdaMART kernels run on the same worker pool, and the mgpu
 # smoke drives K per-shard devices — each with its own worker pool and comm
 # stream — through the ring/tree collectives and their event edges
-# concurrently); audit-mode
+# concurrently, and the workers smoke (fuzz_workers_smoke) trains every
+# trainer path on an explicit 4-worker device, so every grid larger than
+# 8 blocks runs on the pool); audit-mode
 # and race-mode
 # fault-injection tests run their racy kernels on single-worker devices
 # precisely so this lane stays clean.  The test_serve hot-swap race test
@@ -52,7 +54,7 @@ if [[ "${mode}" == "thread" ]]; then
   if [[ $# -gt 0 ]]; then
     ctest --output-on-failure "$@"
   else
-    ctest --output-on-failure -L 'unit|property|bench_smoke|hist_smoke|serve_smoke|race_smoke|objective_smoke|mgpu_smoke'
+    ctest --output-on-failure -L 'unit|property|bench_smoke|hist_smoke|serve_smoke|race_smoke|objective_smoke|mgpu_smoke|workers_smoke'
   fi
 else
   build_dir="${repo_root}/build-asan"

@@ -8,18 +8,26 @@
 //   gbdt_bench --quick --json=s.json                   # tiny-scale smoke
 //   gbdt_bench --json=s.json --compare=old.json        # run, then compare
 //   gbdt_bench --compare-only --json=s.json --compare=old.json
+//   gbdt_bench --compare-only --json=s.json            # ordering gate only
 //
 // Comparison keys on cases' metrics.modeled_seconds — the simulation is
 // deterministic, so any drift is a real cost-model or algorithm change, not
 // machine noise; the threshold exists for intentional small reworks.
 //
-// Exit codes: 0 ok, 1 regression detected, 2 usage error, 3 a bench failed.
+// Every gated report (--compare or --compare-only) also passes the
+// collective-ordering gate inside itself: each multigpu ring or tree case
+// must model no slower than its all-to-one partner (same dataset, shard
+// mode and shard count), at the same threshold.
+//
+// Exit codes: 0 ok, 1 regression or ordering violation detected, 2 usage
+// error, 3 a bench failed.
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.h"
@@ -79,7 +87,9 @@ void usage(const char* argv0) {
       "  --bench-dir=<dir>   bench binaries location "
       "(default: build tree)\n"
       "  --compare=<path>    old suite report to compare against\n"
-      "  --compare-only      skip running; compare --json against --compare\n"
+      "  --compare-only      skip running; gate --json (and compare it "
+      "against\n"
+      "                      --compare when given)\n"
       "  --threshold=<pct>   modeled-seconds regression threshold "
       "(default 5)\n"
       "  --help              this message\n",
@@ -166,6 +176,15 @@ std::vector<std::pair<std::string, double>> modeled_rows(const Json& suite) {
   return rows;
 }
 
+/// The modeled seconds of row `key`, or null when the report lacks it.
+const double* find_row(const std::vector<std::pair<std::string, double>>& rows,
+                       const std::string& key) {
+  for (const auto& [k, secs] : rows) {
+    if (k == key) return &secs;
+  }
+  return nullptr;
+}
+
 /// Compares two suite reports; returns the number of regressions.
 int compare_suites(const Json& now, const Json& old, double threshold_pct) {
   const auto new_rows = modeled_rows(now);
@@ -173,13 +192,7 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
   int regressions = 0;
   int matched = 0;
   for (const auto& [key, new_secs] : new_rows) {
-    const double* old_secs = nullptr;
-    for (const auto& [okey, osecs] : old_rows) {
-      if (okey == key) {
-        old_secs = &osecs;
-        break;
-      }
-    }
+    const double* old_secs = find_row(old_rows, key);
     if (old_secs == nullptr) {
       std::printf("  NEW       %-46s %12.6fs\n", key.c_str(), new_secs);
       continue;
@@ -197,6 +210,52 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
   std::printf("compared %d cases, %d regression(s) beyond %.1f%%\n", matched,
               regressions, threshold_pct);
   return regressions;
+}
+
+/// The collective-ordering gate over one suite report: every multigpu
+/// `*_ring_*` / `*_tree_*` case at K >= 2 must model no slower than the
+/// `*_alltoone_*` case of the same name, i.e. the same dataset, shard mode
+/// and shard count.  K = 1 cases run no collective and need no partner; a
+/// missing partner counts as a violation, so dropping one cannot hide a case.
+/// Returns the number of violations.
+int collective_order_violations(const Json& suite, double threshold_pct) {
+  const std::string prefix = "multigpu/";
+  const auto rows = modeled_rows(suite);
+  int violations = 0;
+  int checked = 0;
+  for (const auto& [key, secs] : rows) {
+    if (key.compare(0, prefix.size(), prefix) != 0) continue;
+    if (key.size() >= 6 && key.compare(key.size() - 6, 6, "_gpus1") == 0) {
+      continue;
+    }
+    std::string partner = key;
+    for (const std::string_view algo : {"_ring_", "_tree_"}) {
+      const std::size_t at = partner.find(algo);
+      if (at != std::string::npos) {
+        partner.replace(at, algo.size(), "_alltoone_");
+        break;
+      }
+    }
+    if (partner == key) continue;
+    const double* base = find_row(rows, partner);
+    if (base == nullptr) {
+      ++violations;
+      std::printf("  UNPAIRED  %-46s (no %s)\n", key.c_str(), partner.c_str());
+      continue;
+    }
+    ++checked;
+    if (secs > *base * (1.0 + threshold_pct / 100.0)) {
+      ++violations;
+      std::printf("  SLOWER    %-46s %12.6fs vs all-to-one %12.6fs (%+.1f%%)\n",
+                  key.c_str(), secs, *base,
+                  *base > 0.0 ? 100.0 * (secs - *base) / *base : 0.0);
+    }
+  }
+  std::printf(
+      "checked %d ring/tree case(s) against all-to-one, %d violation(s) "
+      "beyond %.1f%%\n",
+      checked, violations, threshold_pct);
+  return violations;
 }
 
 }  // namespace
@@ -256,6 +315,7 @@ int main(int argc, char** argv) {
     std::printf("suite report: %s\n", opt.json_path.c_str());
   }
 
+  int failures = 0;
   if (!opt.compare_path.empty()) {
     const Json old = gbdt::obs::read_json_file(opt.compare_path, &err);
     if (old.is_null()) {
@@ -263,7 +323,10 @@ int main(int argc, char** argv) {
                    err.c_str());
       return 2;
     }
-    if (compare_suites(suite, old, opt.threshold_pct) > 0) return 1;
+    failures += compare_suites(suite, old, opt.threshold_pct);
   }
-  return 0;
+  if (opt.compare_only || !opt.compare_path.empty()) {
+    failures += collective_order_violations(suite, opt.threshold_pct);
+  }
+  return failures > 0 ? 1 : 0;
 }

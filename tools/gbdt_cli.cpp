@@ -20,6 +20,7 @@
 #include <iostream>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -219,11 +220,22 @@ void print_tuning(const autotune::TuningReport& t) {
                "deepest level)\n",
                t.use_custom_idxcomp_workload ? "custom" : "naive",
                t.partition_custom_seconds, t.partition_naive_seconds);
-  std::fprintf(stderr,
-               "  out-of-core chunk: %zu MiB; fused find-split: %s "
-               "(saves %.6f s/tree of intermediate traffic)\n",
-               t.ooc_chunk_bytes >> 20, t.fused_find ? "on" : "off",
-               t.fused_saving_seconds);
+  std::fprintf(stderr, "  out-of-core chunk: %zu MiB\n",
+               t.ooc_chunk_bytes >> 20);
+}
+
+/// Prints the training fit: log loss and error rate over probabilities for
+/// the logistic loss (raw margins are not on the label scale), rmse over the
+/// raw scores otherwise.
+void print_train_fit(const GBDTModel& model, std::span<const double> scores,
+                     const data::Dataset& ds) {
+  if (model.param().loss == LossKind::kLogistic) {
+    const auto prob = model.transform_scores(scores);
+    std::fprintf(stderr, "train logloss %.6f\ntrain error %.6f\n",
+                 logloss(prob, ds.labels()), error_rate(prob, ds.labels()));
+  } else {
+    std::fprintf(stderr, "train rmse %.6f\n", rmse(scores, ds.labels()));
+  }
 }
 
 int cmd_train(const Flags& f) {
@@ -307,8 +319,7 @@ int cmd_train(const Flags& f) {
         static_cast<double>(report.comm_bytes) / (1 << 20),
         static_cast<unsigned long long>(report.comm_messages),
         100.0 * report.comm_overlap_ratio);
-    const double train_rmse = rmse(report.train_scores, ds.labels());
-    std::fprintf(stderr, "train rmse %.6f\n", train_rmse);
+    print_train_fit(model, report.train_scores, ds);
     return 0;
   }
 
@@ -360,8 +371,7 @@ int cmd_train(const Flags& f) {
                report.wall_seconds,
                static_cast<double>(report.peak_device_bytes) / (1 << 20),
                report.used_rle ? "on" : "off", report.rle_ratio);
-  const double train_rmse = rmse(report.train_scores, ds.labels());
-  std::fprintf(stderr, "train rmse %.6f\n", train_rmse);
+  print_train_fit(model, report.train_scores, ds);
   return 0;
 }
 

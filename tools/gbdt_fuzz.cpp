@@ -17,9 +17,9 @@
 //                                                   # (seeded-sampling
 //                                                   # determinism + ranking)
 //   gbdt_fuzz --mgpu --cases 25                     # multi-GPU collective
-//                                                   # sweep (ring/tree vs
-//                                                   # the GBDT_ALLTOONE
-//                                                   # hatch, bitwise)
+//                                                   # sweep (ring vs tree
+//                                                   # and all-to-one
+//                                                   # collectives, bitwise)
 //   gbdt_fuzz --workers --cases 10                  # host-worker sweep
 //                                                   # (1 vs 4 workers,
 //                                                   # bitwise, every path)
@@ -99,12 +99,13 @@ void usage() {
          "                     runs must replay bit for bit and agree across\n"
          "                     trainer paths, and LambdaMART must beat the\n"
          "                     squared-error baseline on held-out NDCG@10\n"
-         "  --mgpu             multi-GPU collective sweep: the ring and\n"
-         "                     tree allreduce merges and feature-parallel\n"
-         "                     sharding must reproduce the GBDT_ALLTOONE\n"
-         "                     legacy schedule's forest, and K-shard\n"
-         "                     histogram training must match the\n"
-         "                     single-device histogram trainer bit for bit\n"
+         "  --mgpu             multi-GPU collective sweep: the all-to-one\n"
+         "                     and tree allreduce merges must reproduce the\n"
+         "                     ring merge's forest bit for bit (exact and\n"
+         "                     histogram modes), feature-parallel sharding\n"
+         "                     must match it at 1e-7, and K-shard histogram\n"
+         "                     training must match the single-device\n"
+         "                     histogram trainer bit for bit\n"
          "  --workers          host-worker sweep: every trainer path on a\n"
          "                     1-worker and a 4-worker device must give the\n"
          "                     same forest, modeled seconds, per-kernel\n"

@@ -1,20 +1,19 @@
 // Exact vs approximate split finding: the paper trains "without
 // approximation" and its related work notes that LightGBM "only supports
 // finding the best split points approximately".  This bench quantifies the
-// trade on the dense/medium-dimensional analogs — for the CPU histogram
-// baseline at several bin budgets AND the device-side histogram trainer
-// (core/trainer_hist) — then sweeps a rows x bins grid to chart where the
-// device histogram method's find-split cost crosses below the exact
-// trainer's (the `xover_*` cases; EXPERIMENTS.md plots the crossover).
-#include "baselines/hist_trainer.h"
+// trade on the dense/medium-dimensional analogs — the device histogram
+// trainer (core/trainer_hist) at several bin budgets against the exact
+// trainer — then sweeps a rows x bins grid to chart where the histogram
+// method's find-split cost crosses below the exact trainer's (the `xover_*`
+// cases; EXPERIMENTS.md plots the crossover).
 #include "bench_common.h"
 #include "core/trainer_hist.h"
 
 namespace {
 
-/// One device-hist training run on a fresh simulated Titan X.
-gbdt::TrainReport run_device_hist(const gbdt::data::Dataset& ds,
-                                  gbdt::GBDTParam param, int bins) {
+/// One histogram-method training run on a fresh simulated Titan X.
+gbdt::TrainReport run_hist(const gbdt::data::Dataset& ds,
+                           gbdt::GBDTParam param, int bins) {
   param.use_hist_trainer = true;
   param.n_bins = bins;
   gbdt::device::Device dev(gbdt::device::DeviceConfig::titan_x_pascal());
@@ -33,7 +32,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-10s | %10s %10s | %7s", "dataset", "exact(s)", "rmse", "");
   for (int bins : {16, 64, 256}) std::printf("  hist%-4d(s)  rmse  ", bins);
-  std::printf("  devhist64(s)  rmse\n");
+  std::printf("\n");
 
   for (const char* name : {"susy", "higgs", "covtype", "insurance"}) {
     const auto info = data::paper_dataset(name, opt.scale);
@@ -47,19 +46,14 @@ int main(int argc, char** argv) {
     std::printf("%-10s | %10.3f %10.4f | %7s", name, exact.modeled.total(),
                 rmse(exact.train_scores, ds.labels()), "");
     for (int bins : {16, 64, 256}) {
-      device::Device dev(device::DeviceConfig::titan_x_pascal());
-      baseline::HistGbdtTrainer hist(dev, param, bins);
-      const auto r = hist.train(ds);
-      c.metric(("hist" + std::to_string(bins) + "_seconds").c_str(),
-               r.modeled_seconds);
-      std::printf("  %10.3f %6.4f", r.modeled_seconds,
+      const auto r = run_hist(ds, param, bins);
+      const std::string key = "hist" + std::to_string(bins);
+      c.metric((key + "_seconds").c_str(), r.modeled.total());
+      c.metric((key + "_find_split_seconds").c_str(), r.modeled.find_split);
+      std::printf("  %10.3f %6.4f", r.modeled.total(),
                   rmse(r.train_scores, ds.labels()));
     }
-    const auto dh = run_device_hist(ds, param, 64);
-    c.metric("dhist64_seconds", dh.modeled.total());
-    c.metric("dhist64_find_split_seconds", dh.modeled.find_split);
-    std::printf("    %10.3f %6.4f\n", dh.modeled.total(),
-                rmse(dh.train_scores, ds.labels()));
+    std::printf("\n");
   }
 
   // Crossover sweep: where does the device histogram's modeled find-split
@@ -87,7 +81,7 @@ int main(int argc, char** argv) {
       const std::string cname =
           "xover_r" + std::to_string(rows) + "_b" + std::to_string(bins);
       BenchCase c(sink, cname);
-      const auto dh = run_device_hist(ds, param, bins);
+      const auto dh = run_hist(ds, param, bins);
       c.metric("modeled_seconds", dh.modeled.find_split);
       c.metric("exact_find_split_seconds", exact.modeled.find_split);
       c.metric("dhist_find_split_seconds", dh.modeled.find_split);

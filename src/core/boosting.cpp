@@ -19,8 +19,7 @@ void validate(const GBDTParam& p, std::int64_t n_attr,
     throw std::invalid_argument("n_bins must be in [1, 4096]");
   }
   if (n_attr <= 0) return;
-  // The widest level's current + parent histograms must fit comfortably
-  // (same guard shape as the CPU baseline).
+  // The widest level's current + parent histograms must fit comfortably.
   const double widest = std::ldexp(1.0, std::min(p.depth - 1, 24));
   const double hist_bytes = 2.0 * widest * static_cast<double>(n_attr) *
                             p.n_bins * sizeof(hist::QGH);

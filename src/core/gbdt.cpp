@@ -200,11 +200,17 @@ GBDTModel GBDTModel::load(const std::string& path) {
   if (!(in >> m.base_score_ >> loss_kind >> m.n_attributes_ >> n_trees)) {
     throw std::runtime_error("corrupt model header: " + path);
   }
+  if (loss_kind != static_cast<int>(LossKind::kSquaredError) &&
+      loss_kind != static_cast<int>(LossKind::kLogistic)) {
+    throw TreeFormatError("model header: unknown loss kind " +
+                          std::to_string(loss_kind));
+  }
   m.param_.loss = static_cast<LossKind>(loss_kind);
   // No reserve: n_trees comes from the file, so trees are appended only as
   // they parse.
   while (m.trees_.size() < n_trees) {
-    m.trees_.push_back(Tree::deserialize(in, m.trees_.size()));
+    m.trees_.push_back(
+        Tree::deserialize(in, m.n_attributes_, m.trees_.size()));
   }
   return m;
 }

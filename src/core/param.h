@@ -88,8 +88,8 @@ struct GBDTParam {
   /// paper's exact sorted-list trainer.  Approximate splits: quality is
   /// equivalent, split points are quantile-bin boundaries.
   bool use_hist_trainer = false;
-  /// Maximum quantile buckets per attribute for the histogram method
-  /// (both the device trainer and the CPU baseline), in [1, 4096].
+  /// Maximum quantile buckets per attribute for the histogram method, in
+  /// [1, 4096].
   int n_bins = 64;
 };
 

@@ -354,8 +354,8 @@ void HistGrower::find_level() {
         if (!fm.empty() && fm[static_cast<std::size_t>(s % n_attr)] == 0) {
           return prim::GainDir{};
         }
-        // Empty bins carry no boundary (mirrors the CPU baseline's
-        // skip); a zero-gain suppressed cell loses to any real split.
+        // Empty bins carry no boundary; a zero-gain suppressed cell loses
+        // to any real split.
         if (hc[u].cnt == 0) return prim::GainDir{};
         const hist::QGH node = sq[static_cast<std::size_t>(s / n_attr)];
         const hist::QGH pres = tot[static_cast<std::size_t>(s)];

@@ -144,7 +144,8 @@ void Tree::serialize(std::ostream& out) const {
   }
 }
 
-Tree Tree::deserialize(std::istream& in, std::size_t tree_index) {
+Tree Tree::deserialize(std::istream& in, std::int64_t n_attributes,
+                       std::size_t tree_index) {
   std::size_t count = 0;
   if (!(in >> count) || count == 0) {
     throw std::runtime_error("tree deserialize: bad node count");
@@ -165,13 +166,19 @@ Tree Tree::deserialize(std::istream& in, std::size_t tree_index) {
       return child >= 0 && static_cast<std::size_t>(child) > i &&
              static_cast<std::size_t>(child) < count;
     };
+    const std::string where =
+        "tree " + std::to_string(tree_index) + " node " + std::to_string(i);
     if (!n.is_leaf() &&
         !(after_in_range(n.left) && after_in_range(n.right))) {
-      throw TreeFormatError(
-          "tree " + std::to_string(tree_index) + " node " + std::to_string(i) +
-          ": children " + std::to_string(n.left) + "/" +
-          std::to_string(n.right) + " must lie in (" + std::to_string(i) +
-          ", " + std::to_string(count) + ")");
+      throw TreeFormatError(where + ": children " + std::to_string(n.left) +
+                            "/" + std::to_string(n.right) +
+                            " must lie in (" + std::to_string(i) + ", " +
+                            std::to_string(count) + ")");
+    }
+    if (!n.is_leaf() && (n.attr < 0 || n.attr >= n_attributes)) {
+      throw TreeFormatError(where + ": attribute " + std::to_string(n.attr) +
+                            " must lie in [0, " +
+                            std::to_string(n_attributes) + ")");
     }
     t.nodes_.push_back(n);
   }

@@ -16,7 +16,7 @@
 
 namespace gbdt {
 
-/// A serialized tree whose structure cannot be walked safely.
+/// A serialized model whose header or tree structure cannot be used safely.
 class TreeFormatError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -83,9 +83,11 @@ class Tree {
   void serialize(std::ostream& out) const;
   /// Reads one tree written by serialize().  Every split node's children must
   /// lie in range and after the node itself (split() appends them), which is
-  /// what guarantees prediction walks terminate; a node that breaks this
-  /// throws TreeFormatError naming `tree_index` and the node.
+  /// what guarantees prediction walks terminate, and its attribute must lie
+  /// in [0, n_attributes); a node that breaks either throws TreeFormatError
+  /// naming `tree_index` and the node.
   [[nodiscard]] static Tree deserialize(std::istream& in,
+                                        std::int64_t n_attributes,
                                         std::size_t tree_index = 0);
 
  private:

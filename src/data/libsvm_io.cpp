@@ -15,6 +15,31 @@ namespace {
                            std::to_string(line_no) + ": " + what);
 }
 
+/// Drops a trailing `#` comment and returns a stream over what is left.
+std::istringstream without_comment(std::string& line) {
+  if (const auto hash = line.find('#'); hash != std::string::npos) {
+    line.resize(hash);
+  }
+  return std::istringstream(line);
+}
+
+/// Parses all of `tok` as a float; false if any character is left over.
+bool parse_float(const std::string& tok, float& out) {
+  try {
+    std::size_t used = 0;
+    out = std::stof(tok, &used);
+    return used == tok.size();
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+/// Parses all of [first, last) as a base-10 integer.
+bool parse_int(const char* first, const char* last, std::int64_t& out) {
+  const auto [p, ec] = std::from_chars(first, last, out);
+  return ec == std::errc{} && p == last;
+}
+
 }  // namespace
 
 Dataset read_libsvm(std::istream& in) {
@@ -26,31 +51,25 @@ Dataset read_libsvm(std::istream& in) {
 
   while (std::getline(in, line)) {
     ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ss(line);
+    auto ss = without_comment(line);
+    std::string tok;
+    if (!(ss >> tok)) continue;  // blank line
     float label = 0.f;
-    if (!(ss >> label)) continue;  // blank line
+    if (!parse_float(tok, label)) fail(line_no, "bad label '" + tok + "'");
 
     entries.clear();
-    std::string tok;
     std::int64_t prev_idx = 0;
     while (ss >> tok) {
       const auto colon = tok.find(':');
       if (colon == std::string::npos) fail(line_no, "missing ':' in '" + tok + "'");
       std::int64_t idx = 0;
-      const auto* first = tok.data();
-      const auto [p, ec] = std::from_chars(first, first + colon, idx);
-      if (ec != std::errc{} || p != first + colon || idx < 1) {
+      if (!parse_int(tok.data(), tok.data() + colon, idx) || idx < 1) {
         fail(line_no, "bad feature index in '" + tok + "'");
       }
       if (idx <= prev_idx) fail(line_no, "indices not strictly increasing");
       prev_idx = idx;
       float value = 0.f;
-      try {
-        value = std::stof(tok.substr(colon + 1));
-      } catch (const std::exception&) {
+      if (!parse_float(tok.substr(colon + 1), value)) {
         fail(line_no, "bad feature value in '" + tok + "'");
       }
       entries.push_back({static_cast<std::int32_t>(idx - 1), value});
@@ -92,12 +111,14 @@ void read_query_file(Dataset& ds, std::istream& in) {
   std::int64_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ss(line);
+    auto ss = without_comment(line);
+    std::string tok;
+    if (!(ss >> tok)) continue;  // blank line
     std::int64_t count = 0;
-    if (!(ss >> count)) continue;  // blank line
+    if (!parse_int(tok.data(), tok.data() + tok.size(), count)) {
+      fail(line_no, "bad query group size '" + tok + "'");
+    }
+    if (ss >> tok) fail(line_no, "unexpected '" + tok + "' after the count");
     if (count < 1) fail(line_no, "query group size must be >= 1");
     offsets.push_back(offsets.back() + count);
   }

@@ -9,9 +9,12 @@
 
 namespace gbdt::data {
 
-/// Parses LibSVM text.  Lines may end with comments introduced by '#'.
-/// Indices must be strictly increasing within a line (LibSVM convention);
-/// violations raise std::runtime_error with the offending line number.
+/// Parses LibSVM text.  Lines may end with comments introduced by '#'; a line
+/// that is blank once its comment is removed is skipped.  Every other line
+/// must start with a numeric label, and every label, index and value token
+/// must parse whole.  Indices must be strictly increasing within a line
+/// (LibSVM convention); violations raise std::runtime_error with the
+/// offending line number.
 [[nodiscard]] Dataset read_libsvm(std::istream& in);
 [[nodiscard]] Dataset read_libsvm_file(const std::string& path);
 
@@ -20,7 +23,9 @@ void write_libsvm_file(const Dataset& ds, const std::string& path);
 
 /// Reads a LightGBM-style query file (one integer per line: the number of
 /// consecutive instances belonging to each query) and installs the resulting
-/// offsets on `ds`.  Counts must be positive and sum to ds.n_instances().
+/// offsets on `ds`.  Blank and '#' comment lines are skipped; every other line
+/// holds exactly one positive integer, and the counts must sum to
+/// ds.n_instances().  A bad line raises std::runtime_error naming it.
 void read_query_file(Dataset& ds, std::istream& in);
 void read_query_file(Dataset& ds, const std::string& path);
 

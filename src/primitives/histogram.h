@@ -6,10 +6,9 @@
 // and accumulating per-(node, attribute) gradient histograms instead of
 // scanning sorted value lists.  This header holds the shared pieces:
 //
-//  * BinCuts / build_cuts — host-side quantile binning, shared with the CPU
-//    baseline in src/baselines/hist_trainer.cpp (one implementation, so the
-//    device trainer's bin-index matrix can be verified against
-//    BinCuts::bin_of directly);
+//  * BinCuts / build_cuts — host-side quantile binning (the device
+//    trainer's bin-index matrix is verified against BinCuts::bin_of
+//    directly);
 //  * QGH — the histogram cell: gradient/hessian sums quantized to int64
 //    fixed point plus an instance count.  Integer addition is exact and
 //    associative, which is what makes the histogram-subtraction trick
@@ -179,10 +178,10 @@ struct GradQuant {
 ///
 /// Each of the `partial_block_count` blocks walks a contiguous instance
 /// chunk and accumulates into its *private* histogram copy (the
-/// shared-memory tile: block-disjoint writes, no atomics — the win over the
-/// atomic-per-entry CPU-baseline kernel), then a merge kernel folds the
-/// copies in ascending block order.  With int64 cells the merge order cannot
-/// change the result, so the build is bit-deterministic by construction.
+/// shared-memory tile: block-disjoint writes, no atomics), then a merge
+/// kernel folds the copies in ascending block order.  With int64 cells the
+/// merge order cannot change the result, so the build is bit-deterministic
+/// by construction.
 ///
 /// `accum_of_node[tree_node]` selects the accumulation slot (-1 = skip the
 /// instance), `dest_slot_of_accum[a]` the destination row of `out`; `out`

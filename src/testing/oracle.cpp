@@ -11,7 +11,6 @@
 
 #include "analysis/access_audit.h"
 #include "analysis/hb_race.h"
-#include "baselines/hist_trainer.h"
 #include "baselines/xgb_exact.h"
 #include "core/gbdt.h"
 #include "core/metrics.h"
@@ -941,11 +940,6 @@ OracleResult run_workers_oracle(const FuzzCase& c, bool check_invariants) {
   result.legs.push_back(workers_leg(
       "workers_hist", on_device([&](Device& dev) {
         return GpuHistTrainer(dev, hist).train(ds);
-      }),
-      ds));
-  result.legs.push_back(workers_leg(
-      "workers_baseline_hist", on_device([&](Device& dev) {
-        return baseline::HistGbdtTrainer(dev, base, c.n_bins).train(ds);
       }),
       ds));
   result.legs.push_back(workers_leg(

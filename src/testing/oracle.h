@@ -153,11 +153,10 @@ struct OracleResult {
 /// on a 1-worker and a 4-worker device must agree bit for bit on the forest
 /// text, the modeled seconds, every per-kernel-label counter and the device
 /// predictions of the trained forest.  Legs: workers_sparse, workers_rle,
-/// workers_hist, workers_baseline_hist, workers_ooc, workers_mgpu_data and
-/// workers_mgpu_hist (the multi-GPU legs are skipped below 2 shardable
-/// attributes).  The case's rows are raised to at least kWorkersMinRows so
-/// row-level grids exceed 2 x 4 blocks, which an explicit 4-worker device
-/// always runs on the pool.
+/// workers_hist, workers_ooc, workers_mgpu_data and workers_mgpu_hist (the
+/// multi-GPU legs are skipped below 2 shardable attributes).  The case's
+/// rows are raised to at least kWorkersMinRows so row-level grids exceed
+/// 2 x 4 blocks, which an explicit 4-worker device always runs on the pool.
 inline constexpr std::int64_t kWorkersMinRows = 2304;
 [[nodiscard]] OracleResult run_workers_oracle(const FuzzCase& c,
                                               bool check_invariants = true);

@@ -14,7 +14,6 @@
 
 #include "analysis/access_audit.h"
 #include "analysis/fault_kernels.h"
-#include "baselines/hist_trainer.h"
 #include "core/predictor.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -165,10 +164,9 @@ TEST_F(AccessAudit, SparseAndRleTrainingRunClean) {
   }
 }
 
-// The two kernels that used to add into shared cells from many blocks:
-// device prediction (one thread per row now) and the baseline histogram
-// build (one folding block now).  Both declare their writes.
-TEST_F(AccessAudit, DevicePredictionAndBaselineHistTrainingRunClean) {
+// Device prediction runs one thread per row and declares its writes, so no
+// two blocks write the same score cell.
+TEST_F(AccessAudit, DevicePredictionRunsClean) {
   data::SyntheticSpec spec;
   spec.n_instances = 3000;
   spec.n_attributes = 8;
@@ -184,10 +182,6 @@ TEST_F(AccessAudit, DevicePredictionAndBaselineHistTrainingRunClean) {
   std::vector<double> scores;
   EXPECT_NO_THROW(scores = predict_on_device(dev, rep.trees, p.base_score, ds));
   EXPECT_EQ(scores.size(), static_cast<std::size_t>(ds.n_instances()));
-
-  baseline::HistTrainReport hist;
-  EXPECT_NO_THROW(hist = baseline::HistGbdtTrainer(dev, p, 16).train(ds));
-  EXPECT_EQ(hist.trees.size(), 3u);
 }
 
 TEST_F(AccessAudit, RleRoundTripRunsClean) {

@@ -175,6 +175,36 @@ TEST_F(CliTest, BadInputsFailGracefully) {
   EXPECT_NE(run("frobnicate").exit_code, 0);
   EXPECT_NE(run("train --data=a --model=b --loss=hinge").exit_code, 0);
   EXPECT_NE(run("synth --out=/tmp/x --paper=unknown-set").exit_code, 0);
+  // A label that is not a number fails the run instead of dropping its row.
+  {
+    std::ofstream out("/tmp/gbdt_cli_bad_label.libsvm");
+    out << "1 1:0.5\nabc 1:0.25\n0 1:0.75\n";
+  }
+  const auto bad_label = run("train --data=/tmp/gbdt_cli_bad_label.libsvm "
+                             "--model=/tmp/x.model --trees=1 --depth=1");
+  EXPECT_EQ(bad_label.exit_code, 1) << bad_label.output;
+  EXPECT_NE(bad_label.output.find("line 2"), std::string::npos)
+      << bad_label.output;
+}
+
+// A model whose split names an attribute outside [0, n_attributes) must not
+// load: predicting with it would send every row down the missing branch.
+TEST_F(CliTest, PredictRejectsOutOfRangeSplitAttribute) {
+  const std::string leaf = "-1 -1 -1 0 0 0.25 0 5 0 0\n";
+  for (const char* attr : {"-5", "1000000000"}) {
+    {
+      std::ofstream out("/tmp/gbdt_cli_bad_attr.model");
+      out << "gpu-gbdt-model v2\n0.5 0 4 1\n3\n1 2 " << attr
+          << " 0.5 0 0 1 10 0 0\n"
+          << leaf << leaf;
+    }
+    const auto r = run("predict --data=/tmp/gbdt_cli_train.libsvm "
+                       "--model=/tmp/gbdt_cli_bad_attr.model");
+    EXPECT_EQ(r.exit_code, 1) << attr << ": " << r.output;
+    EXPECT_NE(r.output.find(std::string("tree 0 node 0: attribute ") + attr),
+              std::string::npos)
+        << r.output;
+  }
 }
 
 TEST_F(CliTest, DeviceSelection) {

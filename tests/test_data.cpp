@@ -173,6 +173,54 @@ TEST(LibsvmIo, RejectsMalformedInput) {
   }
 }
 
+/// The message read_libsvm throws on `text` ("" if it parses).
+std::string libsvm_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)read_libsvm(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A line whose label is not a number is an error naming the line, never a
+// silently dropped row.
+TEST(LibsvmIo, RejectsNonNumericLabelNamingTheLine) {
+  EXPECT_NE(libsvm_error("1 1:0.5\nabc 1:0.25\n0 1:0.75\n")
+                .find("line 2: bad label 'abc'"),
+            std::string::npos);
+  EXPECT_NE(libsvm_error("1 1:0.5\n\n1.5x 1:2\n").find("line 3"),
+            std::string::npos);
+  EXPECT_NE(libsvm_error("1 1:2.5junk\n").find("line 1: bad feature value"),
+            std::string::npos);
+  // Blank and comment-only lines are still skipped; '+1' labels parse.
+  std::istringstream ok("  \n# header comment\n+1 1:0.5\n-1 2:1e3  # tail\n");
+  const auto ds = read_libsvm(ok);
+  EXPECT_EQ(ds.n_instances(), 2);
+  EXPECT_FLOAT_EQ(ds.labels()[0], 1.f);
+}
+
+TEST(QueryFile, RejectsNonNumericCountNamingTheLine) {
+  const auto query_error = [](const std::string& text) {
+    Dataset ds(1);
+    for (int i = 0; i < 5; ++i) ds.add_instance({}, 0.f);
+    std::istringstream in(text);
+    try {
+      read_query_file(ds, in);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    EXPECT_EQ(ds.query_offsets(), (std::vector<std::int64_t>{0, 2, 5}));
+    return std::string();
+  };
+  EXPECT_NE(query_error("2\nthree\n3\n").find("line 2: bad query group size"),
+            std::string::npos);
+  EXPECT_NE(query_error("2\n3x\n").find("line 2"), std::string::npos);
+  EXPECT_NE(query_error("2 3\n").find("line 1"), std::string::npos);
+  EXPECT_EQ(query_error("# groups\n2\n\n3  # last\n"), "");
+}
+
 TEST(LibsvmIo, RoundTrips) {
   SyntheticSpec spec;
   spec.n_instances = 200;

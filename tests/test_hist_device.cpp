@@ -1,9 +1,10 @@
 // Tests for the device-side histogram trainer (core/trainer_hist) and its
 // kernel layer (primitives/histogram.h): the histogram-subtraction trick is
 // bitwise-identical to direct accumulation, the device bin-index matrix
-// round-trips through BinCuts::bin_of, empty-node and single-bin edge cases,
-// determinism across replayed runs, the subtraction self-check catches an
-// injected fault, and an audit-armed end-to-end training run.
+// round-trips through BinCuts::bin_of, build_cuts on degenerate columns,
+// empty-node and single-bin edge cases, determinism across replayed runs,
+// the subtraction self-check catches an injected fault, and an audit-armed
+// end-to-end training run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -214,6 +215,35 @@ TEST(HistDevice, SubtractionSelfCheckCatchesInjectedFault) {
   testing::set_invariants_enabled(false);
 }
 
+// ---- build_cuts degenerate shapes -------------------------------------------
+
+TEST(HistDevice, BuildCutsAllEqualColumnIsSingleCleanBin) {
+  const auto cuts = hist::build_cuts({3.5f, 3.5f, 3.5f, 3.5f}, 16);
+  ASSERT_EQ(cuts.bin_low.size(), 1u);
+  EXPECT_EQ(cuts.bin_low[0], 3.5f);
+  EXPECT_EQ(cuts.bin_of(3.5f), 0);
+}
+
+TEST(HistDevice, BuildCutsDominantRunStillYieldsABoundary) {
+  // One value dominates: the greedy chunking used to swallow the whole
+  // column into a single bin whose boundary never splits.  Any column with
+  // two distinct values must produce at least two bins.
+  const auto cuts = hist::build_cuts({9.f, 1.f, 1.f, 1.f, 1.f, 1.f}, 2);
+  ASSERT_EQ(cuts.bin_low.size(), 2u);
+  EXPECT_EQ(cuts.bin_of(9.f), 0);
+  EXPECT_EQ(cuts.bin_of(1.f), 1);
+}
+
+TEST(HistDevice, BuildCutsFewDistinctValuesGetOneBinEach) {
+  const auto cuts = hist::build_cuts({5.f, 1.f, 1.f, 1.f, 1.f}, 2);
+  ASSERT_EQ(cuts.bin_low.size(), 2u);
+  EXPECT_EQ(cuts.bin_low[0], 5.f);
+  EXPECT_EQ(cuts.bin_low[1], 1.f);
+  // n_bins = 1 collapses everything into one bucket.
+  const auto one = hist::build_cuts({5.f, 1.f, 2.f}, 1);
+  EXPECT_EQ(one.bin_low.size(), 1u);
+}
+
 // ---- trainer ---------------------------------------------------------------
 
 TEST(HistDevice, SingleBinTrainingCompletes) {
@@ -225,7 +255,9 @@ TEST(HistDevice, SingleBinTrainingCompletes) {
   for (const auto& t : r.trees) {
     EXPECT_LE(t.depth(), 3);
     for (const auto& n : t.nodes()) {
-      if (!n.is_leaf()) EXPECT_GT(n.n_instances, 0);
+      if (!n.is_leaf()) {
+        EXPECT_GT(n.n_instances, 0);
+      }
     }
   }
 }

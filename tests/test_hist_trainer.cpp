@@ -1,19 +1,20 @@
-// Tests for the histogram-based (approximate) trainer: learning quality
-// relative to the exact trainer, bin-grid split semantics, feasibility
-// limits, determinism.
+// Tests for the histogram (approximate) training method on the device
+// trainer: learning quality relative to the exact trainer, bin-grid split
+// semantics, feasibility limits, determinism.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
 
-#include "baselines/hist_trainer.h"
 #include "core/metrics.h"
+#include "core/param.h"
 #include "core/trainer.h"
+#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
-#include "primitives/histogram.h"
 
-namespace gbdt::baseline {
+namespace gbdt {
 namespace {
 
 using data::SyntheticSpec;
@@ -38,13 +39,21 @@ GBDTParam small_param() {
   return p;
 }
 
+/// One histogram-method training run at `bins` on `dev`.
+TrainReport train_hist(Device& dev, GBDTParam p, int bins,
+                       const data::Dataset& ds) {
+  p.use_hist_trainer = true;
+  p.n_bins = bins;
+  return GpuHistTrainer(dev, p).train(ds);
+}
+
 TEST(HistTrainer, LearnsCloseToExact) {
   const auto ds = make_data(21);
   const auto p = small_param();
   Device dev1(DeviceConfig::titan_x_pascal());
   const auto exact = GpuGbdtTrainer(dev1, p).train(ds);
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto hist = HistGbdtTrainer(dev2, p, 64).train(ds);
+  const auto hist = train_hist(dev2, p, 64, ds);
 
   const double exact_rmse = rmse(exact.train_scores, ds.labels());
   const double hist_rmse = rmse(hist.train_scores, ds.labels());
@@ -60,7 +69,7 @@ TEST(HistTrainer, MoreBinsApproachExactQuality) {
   double prev = 1e9;
   for (int bins : {4, 16, 256}) {
     Device dev(DeviceConfig::titan_x_pascal());
-    const auto r = HistGbdtTrainer(dev, p, bins).train(ds);
+    const auto r = train_hist(dev, p, bins, ds);
     const double e = rmse(r.train_scores, ds.labels());
     EXPECT_LT(e, prev * 1.02) << bins;  // near-monotone improvement
     prev = e;
@@ -74,7 +83,7 @@ TEST(HistTrainer, SplitValuesLieOnTheBinGrid) {
   GBDTParam p = small_param();
   p.n_trees = 4;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = HistGbdtTrainer(dev, p, 8).train(ds);
+  const auto r = train_hist(dev, p, 8, ds);
   std::map<std::int32_t, std::set<float>> per_attr;
   for (const auto& t : r.trees) {
     for (const auto& n : t.nodes()) {
@@ -101,8 +110,8 @@ TEST(HistTrainer, FasterThanExactPerModeledSecond) {
   Device dev1(DeviceConfig::titan_x_pascal());
   const auto exact = GpuGbdtTrainer(dev1, p).train(ds);
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto hist = HistGbdtTrainer(dev2, p, 64).train(ds);
-  EXPECT_LT(hist.modeled_seconds, exact.modeled.total());
+  const auto hist = train_hist(dev2, p, 64, ds);
+  EXPECT_LT(hist.modeled.total(), exact.modeled.total());
 }
 
 TEST(HistTrainer, RejectsInfeasibleHighDimensionalHistograms) {
@@ -116,49 +125,22 @@ TEST(HistTrainer, RejectsInfeasibleHighDimensionalHistograms) {
   p.depth = 12;  // 2^11 nodes x 50k attrs x 256 bins blows the device
   p.n_trees = 1;
   Device dev(DeviceConfig::titan_x_pascal());
-  HistGbdtTrainer trainer(dev, p, 256);
-  EXPECT_THROW((void)trainer.train(ds), std::invalid_argument);
+  EXPECT_THROW((void)train_hist(dev, p, 256, ds), std::invalid_argument);
 }
 
 TEST(HistTrainer, RejectsBadConfig) {
-  Device dev(DeviceConfig::titan_x_pascal());
   GBDTParam p;
-  EXPECT_THROW(HistGbdtTrainer(dev, p, 0), std::invalid_argument);
-  EXPECT_THROW(HistGbdtTrainer(dev, p, -3), std::invalid_argument);
-  EXPECT_THROW(HistGbdtTrainer(dev, p, 1 << 20), std::invalid_argument);
-  HistGbdtTrainer one_bin_ok(dev, p, 1);  // legal: miss-direction splits only
-  HistGbdtTrainer ok(dev, p, 64);
+  for (int bins : {0, -3, 1 << 20}) {
+    p.n_bins = bins;
+    EXPECT_THROW(validate(p), std::invalid_argument) << bins;
+  }
+  p.n_bins = 1;  // legal: miss-direction splits only
+  EXPECT_NO_THROW(validate(p));
+  p.n_bins = 64;
+  EXPECT_NO_THROW(validate(p));
+  Device dev(DeviceConfig::titan_x_pascal());
   data::Dataset empty(3);
-  EXPECT_THROW((void)ok.train(empty), std::invalid_argument);
-}
-
-// ---- build_cuts degenerate shapes (shared with the device trainer) --------
-
-TEST(HistTrainer, BuildCutsAllEqualColumnIsSingleCleanBin) {
-  const auto cuts = hist::build_cuts({3.5f, 3.5f, 3.5f, 3.5f}, 16);
-  ASSERT_EQ(cuts.bin_low.size(), 1u);
-  EXPECT_EQ(cuts.bin_low[0], 3.5f);
-  EXPECT_EQ(cuts.bin_of(3.5f), 0);
-}
-
-TEST(HistTrainer, BuildCutsDominantRunStillYieldsABoundary) {
-  // One value dominates: the greedy chunking used to swallow the whole
-  // column into a single bin whose boundary never splits.  Any column with
-  // two distinct values must produce at least two bins.
-  const auto cuts = hist::build_cuts({9.f, 1.f, 1.f, 1.f, 1.f, 1.f}, 2);
-  ASSERT_EQ(cuts.bin_low.size(), 2u);
-  EXPECT_EQ(cuts.bin_of(9.f), 0);
-  EXPECT_EQ(cuts.bin_of(1.f), 1);
-}
-
-TEST(HistTrainer, BuildCutsFewDistinctValuesGetOneBinEach) {
-  const auto cuts = hist::build_cuts({5.f, 1.f, 1.f, 1.f, 1.f}, 2);
-  ASSERT_EQ(cuts.bin_low.size(), 2u);
-  EXPECT_EQ(cuts.bin_low[0], 5.f);
-  EXPECT_EQ(cuts.bin_low[1], 1.f);
-  // n_bins = 1 collapses everything into one bucket.
-  const auto one = hist::build_cuts({5.f, 1.f, 2.f}, 1);
-  EXPECT_EQ(one.bin_low.size(), 1u);
+  EXPECT_THROW((void)train_hist(dev, p, 64, empty), std::invalid_argument);
 }
 
 TEST(HistTrainer, SingleBinTrainingStillLearnsFromMissingness) {
@@ -175,7 +157,7 @@ TEST(HistTrainer, SingleBinTrainingStillLearnsFromMissingness) {
   p.depth = 3;
   p.n_trees = 3;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = HistGbdtTrainer(dev, p, 1).train(ds);
+  const auto r = train_hist(dev, p, 1, ds);
   ASSERT_EQ(r.trees.size(), 3u);
   for (const auto& t : r.trees) {
     for (const auto& n : t.nodes()) {
@@ -197,7 +179,7 @@ TEST(HistTrainer, AllEqualColumnsNeverSplit) {
   p.depth = 3;
   p.n_trees = 2;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = HistGbdtTrainer(dev, p, 8).train(ds);
+  const auto r = train_hist(dev, p, 8, ds);
   for (const auto& t : r.trees) {
     EXPECT_EQ(t.n_leaves(), 1);
   }
@@ -208,8 +190,8 @@ TEST(HistTrainer, DeterministicAcrossRuns) {
   const auto p = small_param();
   Device dev1(DeviceConfig::titan_x_pascal());
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto a = HistGbdtTrainer(dev1, p, 32).train(ds);
-  const auto b = HistGbdtTrainer(dev2, p, 32).train(ds);
+  const auto a = train_hist(dev1, p, 32, ds);
+  const auto b = train_hist(dev2, p, 32, ds);
   ASSERT_EQ(a.trees.size(), b.trees.size());
   for (std::size_t t = 0; t < a.trees.size(); ++t) {
     EXPECT_TRUE(Tree::same_structure(a.trees[t], b.trees[t], 0.0)) << t;
@@ -217,7 +199,8 @@ TEST(HistTrainer, DeterministicAcrossRuns) {
   EXPECT_EQ(a.train_scores, b.train_scores);
 }
 
-// 20000 rows are 79 hist_build blocks, well past the inline threshold of a
+// 20000 rows are 56 hist_build blocks (two per SM) and 79
+// hist_update_positions blocks, well past the inline threshold of a
 // 4-worker device, so the blocks really run concurrently.
 TEST(HistTrainer, BitwiseIdenticalAcrossHostWorkers) {
   const auto ds = make_data(28, 20000, 8);
@@ -225,8 +208,8 @@ TEST(HistTrainer, BitwiseIdenticalAcrossHostWorkers) {
   p.n_trees = 3;
   Device serial(DeviceConfig::titan_x_pascal(), /*host_workers=*/1);
   Device pooled(DeviceConfig::titan_x_pascal(), /*host_workers=*/4);
-  const auto a = HistGbdtTrainer(serial, p, 32).train(ds);
-  const auto b = HistGbdtTrainer(pooled, p, 32).train(ds);
+  const auto a = train_hist(serial, p, 32, ds);
+  const auto b = train_hist(pooled, p, 32, ds);
   ASSERT_GE(device::grid_for(ds.n_instances(), 256), 64);
   const auto text = [](const std::vector<Tree>& trees) {
     std::ostringstream out;
@@ -235,7 +218,8 @@ TEST(HistTrainer, BitwiseIdenticalAcrossHostWorkers) {
   };
   EXPECT_EQ(text(a.trees), text(b.trees));
   EXPECT_EQ(a.train_scores, b.train_scores);
-  EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
+  EXPECT_EQ(a.modeled.total(), b.modeled.total());
+  EXPECT_EQ(serial.elapsed_seconds(), pooled.elapsed_seconds());
 }
 
 TEST(HistTrainer, DepthAndLeafBoundsHold) {
@@ -244,7 +228,7 @@ TEST(HistTrainer, DepthAndLeafBoundsHold) {
   p.depth = 3;
   p.n_trees = 5;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = HistGbdtTrainer(dev, p, 32).train(ds);
+  const auto r = train_hist(dev, p, 32, ds);
   for (const auto& t : r.trees) {
     EXPECT_LE(t.depth(), 3);
     EXPECT_LE(t.n_leaves(), 8);
@@ -253,4 +237,4 @@ TEST(HistTrainer, DepthAndLeafBoundsHold) {
 }
 
 }  // namespace
-}  // namespace gbdt::baseline
+}  // namespace gbdt

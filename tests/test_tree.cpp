@@ -95,7 +95,7 @@ TEST(Tree, SerializeRoundTrips) {
 
   std::stringstream buf;
   t.serialize(buf);
-  const Tree back = Tree::deserialize(buf);
+  const Tree back = Tree::deserialize(buf, 6);
   EXPECT_TRUE(Tree::same_structure(t, back, 0.0));
   EXPECT_EQ(back.node(0).n_instances, 100);
   EXPECT_EQ(back.depth(), 2);
@@ -103,12 +103,12 @@ TEST(Tree, SerializeRoundTrips) {
 
 TEST(Tree, DeserializeRejectsGarbage) {
   std::stringstream bad("not a tree");
-  EXPECT_THROW((void)Tree::deserialize(bad), std::runtime_error);
+  EXPECT_THROW((void)Tree::deserialize(bad, 1), std::runtime_error);
   std::stringstream truncated("3\n1 2 0 0.5 0 0 1 10 0 0\n");
-  EXPECT_THROW((void)Tree::deserialize(truncated), std::runtime_error);
+  EXPECT_THROW((void)Tree::deserialize(truncated, 1), std::runtime_error);
   // A node count far beyond the data is truncation, not an allocation.
   std::stringstream huge("1000000000000\n-1 -1 -1 0 0 0.5 0 1 0 0\n");
-  EXPECT_THROW((void)Tree::deserialize(huge), std::runtime_error);
+  EXPECT_THROW((void)Tree::deserialize(huge, 1), std::runtime_error);
 }
 
 TEST(Tree, SameStructureDetectsDifferences) {
@@ -194,13 +194,15 @@ TEST(Model, LoadRejectsWrongMagic) {
                std::runtime_error);
 }
 
-/// Writes a one-header model file holding `trees` (serialized tree text)
-/// and returns the error GBDTModel::load throws on it ("" if none).
+/// Writes a model file over 2 attributes holding `trees` (serialized tree
+/// text) and returns the error GBDTModel::load throws on it ("" if none).
 std::string load_error(const std::string& path, std::size_t n_trees,
-                       const std::string& trees) {
+                       const std::string& trees, int loss_kind = 0) {
   {
     std::ofstream out(path);
-    out << "gpu-gbdt-model v2\n0.5 0 2 " << n_trees << "\n" << trees;
+    out << "gpu-gbdt-model v2\n0.5 " << loss_kind << " 2 " << n_trees
+        << "\n"
+        << trees;
   }
   try {
     (void)GBDTModel::load(path);
@@ -229,6 +231,36 @@ TEST(Model, LoadRejectsChildCycles) {
   EXPECT_NE(err_back.find("tree 1 node 2"), std::string::npos) << err_back;
 
   EXPECT_EQ(load_error("/tmp/gbdt_valid_model.txt", 1, valid), "");
+}
+
+// A split on an attribute the model does not have would route every row down
+// the missing-value branch; the loader must refuse it.
+TEST(Model, LoadRejectsOutOfRangeAttributes) {
+  const std::string leaf = "-1 -1 -1 0 0 0.25 0 5 0 0\n";
+  for (const std::string attr : {"-5", "1000000000", "2"}) {
+    const std::string tree =
+        "3\n1 2 " + attr + " 0.5 0 0 1 10 0 0\n" + leaf + leaf;
+    const std::string err =
+        load_error("/tmp/gbdt_bad_attr_model.txt", 1, tree);
+    EXPECT_NE(err.find("tree 0 node 0: attribute " + attr),
+              std::string::npos)
+        << err;
+  }
+  // Leaves carry attr -1 and are never checked.
+  const std::string valid = "3\n1 2 1 0.5 0 0 1 10 0 0\n" + leaf + leaf;
+  EXPECT_EQ(load_error("/tmp/gbdt_bad_attr_model.txt", 1, valid), "");
+}
+
+TEST(Model, LoadRejectsUnknownLossKind) {
+  const std::string stump = "1\n-1 -1 -1 0 0 0.25 0 5 0 0\n";
+  for (int kind : {-1, 2, 7}) {
+    const std::string err =
+        load_error("/tmp/gbdt_bad_loss_model.txt", 1, stump, kind);
+    EXPECT_NE(err.find("unknown loss kind " + std::to_string(kind)),
+              std::string::npos)
+        << err;
+  }
+  EXPECT_EQ(load_error("/tmp/gbdt_bad_loss_model.txt", 1, stump, 1), "");
 }
 
 }  // namespace

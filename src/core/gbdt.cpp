@@ -9,7 +9,6 @@
 
 #include "core/metrics.h"
 #include "core/predictor.h"
-#include "core/trainer_hist.h"
 #include "objective/early_stop.h"
 
 namespace gbdt {
@@ -17,9 +16,7 @@ namespace gbdt {
 std::pair<GBDTModel, TrainReport> GBDTModel::train(device::Device& dev,
                                                    const data::Dataset& ds,
                                                    const GBDTParam& param) {
-  TrainReport report = param.use_hist_trainer
-                           ? GpuHistTrainer(dev, param).train(ds)
-                           : GpuGbdtTrainer(dev, param).train(ds);
+  TrainReport report = GpuGbdtTrainer(dev, param).train(ds);
   GBDTModel model(param, report.trees, report.base_score, ds.n_attributes());
   return {std::move(model), std::move(report)};
 }
@@ -95,10 +92,7 @@ GBDTModel::train_with_validation(device::Device& dev,
     }
     return true;
   };
-  TrainReport report =
-      param.use_hist_trainer
-          ? GpuHistTrainer(dev, param).train(train_set, on_tree)
-          : GpuGbdtTrainer(dev, param).train(train_set, on_tree);
+  TrainReport report = GpuGbdtTrainer(dev, param).train(train_set, on_tree);
   history.best_iteration = stopper.best_iteration();
 
   std::vector<Tree> forest = report.trees;
@@ -177,6 +171,11 @@ std::vector<double> GBDTModel::transform_scores(
 }
 
 void GBDTModel::save(const std::string& path) const {
+  // Checked before the file is opened, so a bad forest leaves no file.
+  if (!std::isfinite(base_score_)) {
+    throw std::runtime_error("cannot save model: non-finite base score");
+  }
+  for (std::size_t t = 0; t < trees_.size(); ++t) trees_[t].check_finite(t);
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open " + path);
   out << "gpu-gbdt-model v2\n";

@@ -83,6 +83,9 @@ class GBDTModel {
 
   [[nodiscard]] std::int64_t n_attributes() const { return n_attributes_; }
 
+  /// Throws before writing anything when a weight, threshold or other
+  /// number of the model is nan or infinite (Tree::check_finite), so every
+  /// saved file loads back.
   void save(const std::string& path) const;
   [[nodiscard]] static GBDTModel load(const std::string& path);
 

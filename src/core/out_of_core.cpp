@@ -628,6 +628,11 @@ OutOfCoreTrainer::OutOfCoreTrainer(device::Device& dev, GBDTParam param,
     : dev_(dev), param_(std::move(param)), chunk_bytes_(chunk_bytes),
       stream_compressed_(stream_compressed), loss_(make_loss(param_.loss)) {
   validate(param_);
+  if (param_.use_hist_trainer) {
+    throw std::invalid_argument(
+        "out-of-core training streams exact attribute lists; the histogram "
+        "method is not supported");
+  }
   if (chunk_bytes_ < (std::size_t{1} << 16)) {
     throw std::invalid_argument("chunk_bytes too small");
   }

@@ -61,7 +61,8 @@ class OutOfCoreTrainer {
  public:
   /// chunk_bytes bounds the device footprint of one streamed column chunk;
   /// stream_compressed ships RLE-compressed value arrays when a chunk's
-  /// values compress (the paper's PCI-e traffic argument).
+  /// values compress (the paper's PCI-e traffic argument).  The exact
+  /// method only: param.use_hist_trainer throws std::invalid_argument.
   OutOfCoreTrainer(device::Device& dev, GBDTParam param,
                    std::size_t chunk_bytes = std::size_t{64} << 20,
                    bool stream_compressed = true);

@@ -1,11 +1,13 @@
 #include "core/trainer.h"
 
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "core/boosting.h"
 #include "core/trainer_detail.h"
+#include "core/trainer_hist.h"
 #include "data/csc_matrix.h"
 #include "obs/trace.h"
 #include "objective/objective.h"
@@ -343,14 +345,27 @@ void update_predictions_naive(TrainState& st, const Tree& tree) {
   return copies;
 }
 
-/// The exact trainer's level steps over the sparse or RLE layout.
+/// The exact method's level steps over the sparse or RLE layout.
 class ExactBackend final : public detail::LevelBackend {
  public:
   ExactBackend(TrainState& st, objective::RoundDriver& rounds,
                const DeviceBuffer<float>& labels, const data::Dataset& ds,
                PhaseTimings& modeled)
       : st_(st), rounds_(rounds), labels_(labels), ds_(ds),
-        modeled_(modeled) {}
+        modeled_(modeled) {
+    if (st.param.use_smart_gd) return;
+    // The naive path needs random access to instance rows: upload the CSR.
+    PhaseScope phase(st.dev, modeled.transfer);
+    std::vector<std::int32_t> attrs(static_cast<std::size_t>(ds.n_entries()));
+    std::vector<float> vals(static_cast<std::size_t>(ds.n_entries()));
+    for (std::size_t k = 0; k < attrs.size(); ++k) {
+      attrs[k] = ds.entries()[k].attr;
+      vals[k] = ds.entries()[k].value;
+    }
+    st.csr_offsets = st.dev.to_device<std::int64_t>(ds.row_offsets());
+    st.csr_attrs = st.dev.to_device<std::int32_t>(attrs);
+    st.csr_values = st.dev.to_device<float>(vals);
+  }
 
   ActiveNode begin_tree(int t, const Tree* prev, Tree& tree) override {
     {
@@ -433,15 +448,128 @@ class ExactBackend final : public detail::LevelBackend {
   std::vector<device::ArenaBuffer<double>> interleaved_;
 };
 
+/// The histogram method's level steps: one grower back to back.
+class HistBackend final : public detail::LevelBackend {
+ public:
+  HistBackend(TrainState& st, const BinnedMatrix& binned,
+              objective::RoundDriver& rounds,
+              const DeviceBuffer<float>& labels, const data::Dataset& ds,
+              PhaseTimings& modeled)
+      : st_(st), rounds_(rounds), labels_(labels), ds_(ds), modeled_(modeled),
+        grower_(st.dev, st.param, st, binned, /*distributed=*/false) {}
+
+  ActiveNode begin_tree(int t, const Tree* prev, Tree& tree) override {
+    {
+      PhaseScope phase(st_.dev, modeled_.gradients);
+      obs::ScopedSpan span("gradient_compute");
+      if (prev != nullptr) detail::update_predictions_smart(st_, *prev);
+      rounds_.begin_round(st_, labels_, t);
+    }
+    // Quantize this tree's gradients so histogram accumulation is exact
+    // integer arithmetic (counted with the gradient phase).
+    hist::QGH rootq;
+    {
+      PhaseScope phase(st_.dev, modeled_.gradients);
+      obs::ScopedSpan span("gradient_compute");
+      const HistGrower::AbsMax mx = grower_.local_abs_max();
+      rootq = grower_.quantize(mx.g, mx.h, st_.n_inst);
+    }
+    return grower_.begin_tree(tree, rootq);
+  }
+
+  std::vector<BestSplit> find_splits(
+      const std::vector<ActiveNode>& active) override {
+    grower_.plan_level(active);
+    {
+      PhaseScope phase(st_.dev, modeled_.find_split);
+      obs::ScopedSpan span("hist_build");
+      grower_.build_level();
+    }
+    if (grower_.has_derived()) {
+      {
+        PhaseScope phase(st_.dev, modeled_.find_split);
+        obs::ScopedSpan span("hist_subtract");
+        grower_.subtract_level();
+      }
+      grower_.maybe_verify_subtraction();
+    }
+    // ---- find the best bin boundary per node over the histograms ----------
+    PhaseScope phase(st_.dev, modeled_.find_split);
+    obs::ScopedSpan span("hist_find_split");
+    grower_.prepare_offsets();
+    grower_.run_set_keys();
+    grower_.find_level();
+    return grower_.best();
+  }
+
+  void apply(const LevelPlan& plan) override {
+    {
+      PhaseScope phase(st_.dev, modeled_.split_node);
+      obs::ScopedSpan span("hist_split_node");
+      grower_.apply_level(plan);
+    }
+    grower_.advance_level(plan);
+  }
+
+  void end_tree() override {
+    grower_.end_tree();
+    grower_.maybe_check_leaf_map(ds_);
+  }
+
+  void fold(const Tree& last) override {
+    PhaseScope phase(st_.dev, modeled_.gradients);
+    obs::ScopedSpan span("gradient_compute");
+    detail::update_predictions_smart(st_, last);
+  }
+
+ private:
+  TrainState& st_;
+  objective::RoundDriver& rounds_;
+  const DeviceBuffer<float>& labels_;
+  const data::Dataset& ds_;
+  PhaseTimings& modeled_;
+  HistGrower grower_;
+};
+
+/// The exact method's root layout: the CSC attribute lists, run-length
+/// compressed when the paper's gate (or force_rle) fires.
+void build_attribute_lists(TrainState& st, const data::Dataset& ds,
+                           TrainReport& report) {
+  obs::ScopedSpan span("csc_build");
+  Device& dev = st.dev;
+  const GBDTParam& param = st.param;
+  auto csc = data::build_csc_device(dev, ds);
+  st.orig_values = std::move(csc.values);
+  st.orig_inst = std::move(csc.inst_ids);
+  st.orig_seg_offsets = std::move(csc.col_offsets);
+
+  const bool gate =
+      param.force_rle ||
+      rle::paper_gate(st.n_attr, st.n_inst, param.rle_threshold_r);
+  if (!param.use_rle || !gate) return;
+  obs::ScopedSpan rle_span("rle_compress");
+  auto compressed = rle::compress(dev, st.orig_values.span(),
+                                  st.orig_seg_offsets.span(), &st.arena);
+  if (testing::invariants_enabled()) {
+    testing::check_rle_roundtrip(dev, compressed, st.orig_values,
+                                 "root_rle_build");
+  }
+  st.rle = true;
+  report.used_rle = true;
+  st.orig_n_runs = compressed.n_runs;
+  st.rle_ratio = rle::measured_ratio(compressed);
+  report.rle_ratio = st.rle_ratio;
+  st.orig_run_values = std::move(compressed.values);
+  st.orig_run_starts = std::move(compressed.starts);
+  st.orig_run_seg_offsets = std::move(compressed.seg_offsets);
+  st.orig_values.free();  // per-element values are no longer needed
+}
+
 }  // namespace
 
 GpuGbdtTrainer::GpuGbdtTrainer(Device& dev, GBDTParam param)
     : dev_(dev), param_(std::move(param)), loss_(make_loss(param_.loss)) {
   validate(param_);
-}
-
-TrainReport GpuGbdtTrainer::train(const data::Dataset& ds) {
-  return train(ds, TreeCallback{});
 }
 
 TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
@@ -451,7 +579,7 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   TrainReport report;
   report.base_score = param_.base_score;
 
-  if (param_.autotune || autotune::autotune_forced()) {
+  if (param_.autotune) {
     report.tuning =
         autotune::tune(dev_.config(), autotune::problem_shape(ds), param_);
     autotune::apply(report.tuning, param_);
@@ -462,38 +590,20 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   st.n_inst = ds.n_instances();
   st.n_attr = ds.n_attributes();
   if (st.n_inst == 0) throw std::invalid_argument("empty dataset");
+  const bool hist = param_.use_hist_trainer;
+  if (hist) validate(param_, st.n_attr, dev_.config().global_mem_bytes);
 
   dev_.allocator().reset_peak();
 
-  // ---- build the original root-level layout (counted as transfer) --------
+  // ---- the root-level layout (counted as transfer) -----------------------
+  BinnedMatrix binned;  // histogram method only
   {
     PhaseScope phase(dev_, report.modeled.transfer);
-    obs::ScopedSpan span("csc_build");
-    auto csc = data::build_csc_device(dev_, ds);
-    st.orig_values = std::move(csc.values);
-    st.orig_inst = std::move(csc.inst_ids);
-    st.orig_seg_offsets = std::move(csc.col_offsets);
-
-    const bool gate =
-        param_.force_rle ||
-        rle::paper_gate(st.n_attr, st.n_inst, param_.rle_threshold_r);
-    if (param_.use_rle && gate) {
-      obs::ScopedSpan rle_span("rle_compress");
-      auto compressed = rle::compress(dev_, st.orig_values.span(),
-                                      st.orig_seg_offsets.span(), &st.arena);
-      if (testing::invariants_enabled()) {
-        testing::check_rle_roundtrip(dev_, compressed, st.orig_values,
-                                     "root_rle_build");
-      }
-      st.rle = true;
-      report.used_rle = true;
-      st.orig_n_runs = compressed.n_runs;
-      st.rle_ratio = rle::measured_ratio(compressed);
-      report.rle_ratio = st.rle_ratio;
-      st.orig_run_values = std::move(compressed.values);
-      st.orig_run_starts = std::move(compressed.starts);
-      st.orig_run_seg_offsets = std::move(compressed.seg_offsets);
-      st.orig_values.free();  // per-element values are no longer needed
+    if (hist) {
+      obs::ScopedSpan span("hist_quantize");
+      binned = build_binned_matrix(dev_, ds, param_.n_bins);
+    } else {
+      build_attribute_lists(st, ds, report);
     }
   }
 
@@ -502,22 +612,15 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   auto d_labels = dev_.to_device<float>(ds.labels());
   detail::alloc_instance_state(st);
 
-  if (!param_.use_smart_gd) {
-    // The naive path needs random access to instance rows: upload the CSR.
-    PhaseScope phase(dev_, report.modeled.transfer);
-    std::vector<std::int32_t> attrs(static_cast<std::size_t>(ds.n_entries()));
-    std::vector<float> vals(static_cast<std::size_t>(ds.n_entries()));
-    for (std::size_t k = 0; k < attrs.size(); ++k) {
-      attrs[k] = ds.entries()[k].attr;
-      vals[k] = ds.entries()[k].value;
-    }
-    st.csr_offsets = dev_.to_device<std::int64_t>(ds.row_offsets());
-    st.csr_attrs = dev_.to_device<std::int32_t>(attrs);
-    st.csr_values = dev_.to_device<float>(vals);
+  std::unique_ptr<detail::LevelBackend> backend;
+  if (hist) {
+    backend = std::make_unique<HistBackend>(st, binned, round_driver,
+                                            d_labels, ds, report.modeled);
+  } else {
+    backend = std::make_unique<ExactBackend>(st, round_driver, d_labels, ds,
+                                             report.modeled);
   }
-
-  ExactBackend backend(st, round_driver, d_labels, ds, report.modeled);
-  detail::grow_forest(param_, backend, report.trees, on_tree);
+  detail::grow_forest(param_, *backend, report.trees, on_tree);
 
   const auto final_pred = dev_.to_host(st.y_pred);
   report.train_scores.assign(final_pred.begin(), final_pred.end());

@@ -2,9 +2,16 @@
 //
 // Typical use:
 //   device::Device dev(device::DeviceConfig::titan_x_pascal());
-//   GpuGbdtTrainer trainer(dev, GBDTParam{});
+//   GBDTParam p;  // p.use_hist_trainer = true: the histogram method
+//   GpuGbdtTrainer trainer(dev, p);
 //   const TrainReport report = trainer.train(dataset);
 //   // report.trees, report.modeled (device seconds), report.train_scores
+//
+// One trainer trains both methods: the exact sorted-list method of the
+// paper, or the quantized histogram method (core/trainer_hist.h).  They
+// share the frame around the level steps — autotune, state, labels, the
+// boosting driver, the report — and differ only in the root layout and the
+// level backend.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +51,8 @@ struct TrainReport {
   std::size_t peak_device_bytes = 0;
   /// Final raw training scores (base_score + sum of leaf weights).
   std::vector<double> train_scores;
-  /// Set when param.autotune (or GBDT_AUTOTUNE=1) ran the cost-model tuner
-  /// before training; `tuning` then holds the chosen knobs and sweeps.
+  /// Set when param.autotune ran the cost-model tuner before training;
+  /// `tuning` then holds the chosen knobs and sweeps.
   bool tuned = false;
   autotune::TuningReport tuning;
 };
@@ -59,12 +66,13 @@ class GpuGbdtTrainer {
 
   GpuGbdtTrainer(device::Device& dev, GBDTParam param);
 
-  /// Trains param.n_trees trees of depth param.depth on ds.  The device
-  /// timeline keeps accumulating across calls; the report contains the
-  /// per-phase attribution of this call only.
-  [[nodiscard]] TrainReport train(const data::Dataset& ds);
+  /// Trains param.n_trees trees of depth param.depth on ds, with the exact
+  /// method or, when param.use_hist_trainer is set, the histogram method
+  /// (used_rle/rle_ratio then stay at their defaults).  The device timeline
+  /// keeps accumulating across calls; the report contains the per-phase
+  /// attribution of this call only.
   [[nodiscard]] TrainReport train(const data::Dataset& ds,
-                                  const TreeCallback& on_tree);
+                                  const TreeCallback& on_tree = {});
 
   [[nodiscard]] const GBDTParam& param() const { return param_; }
 

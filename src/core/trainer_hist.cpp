@@ -22,23 +22,19 @@
 // steady-state device allocations are the persistent per-instance buffers.
 //
 // The steps live in HistGrower so the multi-GPU trainer can drive K growers
-// in lockstep, merging histograms between build and subtract; HistBackend
-// below sequences one grower back-to-back under the boosting driver.
+// in lockstep, merging histograms between build and subtract; the
+// single-device trainer (core/trainer.cpp) sequences one grower back to back
+// under the boosting driver.
 #include "core/trainer_hist.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/boosting.h"
 #include "core/trainer_detail.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "objective/objective.h"
 #include "primitives/fused_split.h"
 #include "primitives/reduce.h"
 #include "primitives/segmented.h"
@@ -49,7 +45,6 @@ namespace gbdt {
 
 using detail::ActiveNode;
 using detail::LevelPlan;
-using detail::PhaseScope;
 using detail::TrainState;
 using device::Device;
 
@@ -482,156 +477,6 @@ void HistGrower::end_tree() {
 void HistGrower::maybe_check_leaf_map(const data::Dataset& ds) {
   if (distributed_ || !testing::invariants_enabled()) return;
   testing::check_leaf_map(st_.node_of.span(), *st_.tree, ds, "hist_leaf_map");
-}
-
-// ---------------------------------------------------------------------------
-// GpuHistTrainer
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// One grower sequenced back-to-back on a single device.
-class HistBackend final : public detail::LevelBackend {
- public:
-  HistBackend(HistGrower& grower, TrainState& st,
-              objective::RoundDriver& rounds,
-              const device::DeviceBuffer<float>& labels,
-              const data::Dataset& ds, PhaseTimings& modeled)
-      : grower_(grower), st_(st), rounds_(rounds), labels_(labels), ds_(ds),
-        modeled_(modeled) {}
-
-  ActiveNode begin_tree(int t, const Tree* prev, Tree& tree) override {
-    {
-      PhaseScope phase(st_.dev, modeled_.gradients);
-      obs::ScopedSpan span("gradient_compute");
-      if (prev != nullptr) detail::update_predictions_smart(st_, *prev);
-      rounds_.begin_round(st_, labels_, t);
-    }
-    // Quantize this tree's gradients so histogram accumulation is exact
-    // integer arithmetic (counted with the gradient phase).
-    hist::QGH rootq;
-    {
-      PhaseScope phase(st_.dev, modeled_.gradients);
-      obs::ScopedSpan span("gradient_compute");
-      const HistGrower::AbsMax mx = grower_.local_abs_max();
-      rootq = grower_.quantize(mx.g, mx.h, st_.n_inst);
-    }
-    return grower_.begin_tree(tree, rootq);
-  }
-
-  std::vector<detail::BestSplit> find_splits(
-      const std::vector<ActiveNode>& active) override {
-    grower_.plan_level(active);
-    {
-      PhaseScope phase(st_.dev, modeled_.find_split);
-      obs::ScopedSpan span("hist_build");
-      grower_.build_level();
-    }
-    if (grower_.has_derived()) {
-      {
-        PhaseScope phase(st_.dev, modeled_.find_split);
-        obs::ScopedSpan span("hist_subtract");
-        grower_.subtract_level();
-      }
-      grower_.maybe_verify_subtraction();
-    }
-    // ---- find the best bin boundary per node over the histograms ----------
-    PhaseScope phase(st_.dev, modeled_.find_split);
-    obs::ScopedSpan span("hist_find_split");
-    grower_.prepare_offsets();
-    grower_.run_set_keys();
-    grower_.find_level();
-    return grower_.best();
-  }
-
-  void apply(const LevelPlan& plan) override {
-    {
-      PhaseScope phase(st_.dev, modeled_.split_node);
-      obs::ScopedSpan span("hist_split_node");
-      grower_.apply_level(plan);
-    }
-    grower_.advance_level(plan);
-  }
-
-  void end_tree() override {
-    grower_.end_tree();
-    grower_.maybe_check_leaf_map(ds_);
-  }
-
-  void fold(const Tree& last) override {
-    PhaseScope phase(st_.dev, modeled_.gradients);
-    obs::ScopedSpan span("gradient_compute");
-    detail::update_predictions_smart(st_, last);
-  }
-
- private:
-  HistGrower& grower_;
-  TrainState& st_;
-  objective::RoundDriver& rounds_;
-  const device::DeviceBuffer<float>& labels_;
-  const data::Dataset& ds_;
-  PhaseTimings& modeled_;
-};
-
-}  // namespace
-
-GpuHistTrainer::GpuHistTrainer(Device& dev, GBDTParam param)
-    : dev_(dev), param_(std::move(param)), loss_(make_loss(param_.loss)) {
-  validate(param_);
-}
-
-TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
-  return train(ds, TreeCallback{});
-}
-
-TrainReport GpuHistTrainer::train(const data::Dataset& ds,
-                                  const TreeCallback& on_tree) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  obs::ScopedSpan train_span("train");
-  TrainReport report;
-  report.base_score = param_.base_score;
-
-  if (param_.autotune || autotune::autotune_forced()) {
-    report.tuning =
-        autotune::tune(dev_.config(), autotune::problem_shape(ds), param_);
-    autotune::apply(report.tuning, param_);
-    report.tuned = true;
-  }
-
-  TrainState st(dev_, param_, *loss_);
-  st.n_inst = ds.n_instances();
-  st.n_attr = ds.n_attributes();
-  if (st.n_inst == 0) throw std::invalid_argument("empty dataset");
-  validate(param_, st.n_attr, dev_.config().global_mem_bytes);
-
-  dev_.allocator().reset_peak();
-
-  // ---- quantize the features (counted as transfer) ------------------------
-  BinnedMatrix binned;
-  {
-    PhaseScope phase(dev_, report.modeled.transfer);
-    obs::ScopedSpan span("hist_quantize");
-    binned = build_binned_matrix(dev_, ds, param_.n_bins);
-  }
-
-  // ---- persistent per-instance state --------------------------------------
-  objective::RoundDriver round_driver(dev_, param_, ds);
-  auto d_labels = dev_.to_device<float>(ds.labels());
-  detail::alloc_instance_state(st);
-  HistGrower grower(dev_, param_, st, binned, /*distributed=*/false);
-
-  HistBackend backend(grower, st, round_driver, d_labels, ds, report.modeled);
-  detail::grow_forest(param_, backend, report.trees, on_tree);
-
-  const auto final_pred = dev_.to_host(st.y_pred);
-  report.train_scores.assign(final_pred.begin(), final_pred.end());
-
-  report.peak_device_bytes = dev_.allocator().peak();
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return report;
 }
 
 }  // namespace gbdt

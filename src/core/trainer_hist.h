@@ -1,13 +1,14 @@
-// Device-side histogram trainer: the quantized-histogram training method
+// Device-side histogram method: the quantized-histogram training method
 // every production GPU GBDT system uses (XGBoost-GPU, LightGBM, ThunderGBM),
 // built on the same simulated device, workspace arena and fused find-split
-// machinery as the paper's exact trainer.
+// machinery as the paper's exact method.
 //
-// Typical use:
+// Typical use (GpuGbdtTrainer trains it when use_hist_trainer is set):
 //   device::Device dev(device::DeviceConfig::titan_x_pascal());
 //   GBDTParam p;
+//   p.use_hist_trainer = true;
 //   p.n_bins = 64;
-//   GpuHistTrainer trainer(dev, p);
+//   GpuGbdtTrainer trainer(dev, p);
 //   const TrainReport report = trainer.train(dataset);
 //
 // Splits are approximate (bin boundaries instead of exact feature values),
@@ -21,7 +22,7 @@
 // in the multi-GPU path).  It is not a trainer loop: the boosting driver
 // (core/boosting.h) owns the tree and level loops and the host split
 // decision, and a LevelBackend sequences the grower's steps between them.
-// GpuHistTrainer's backend runs one grower back to back; the multi-GPU
+// GpuGbdtTrainer's hist backend runs one grower back to back; the multi-GPU
 // trainer's runs K growers in lockstep and allreduces between the steps
 // (|g| maxima, quantized root sums and the accumulated histogram slots —
 // histograms, not split candidates), so every shard finds bitwise-identical
@@ -29,13 +30,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/loss.h"
 #include "core/param.h"
-#include "core/trainer.h"
 #include "core/trainer_detail.h"
 #include "data/dataset.h"
 #include "device/device_context.h"
@@ -185,28 +183,6 @@ class HistGrower {
   device::ArenaBuffer<std::int64_t> seg_offsets_;
   std::vector<detail::BestSplit> best_;
   std::vector<hist::QGH> child_q_;  // per slot: left, right quantized stats
-};
-
-/// Histogram-method trainer on the simulated device.  Returns the same
-/// TrainReport as GpuGbdtTrainer (used_rle/rle_ratio stay at their
-/// defaults — the histogram path has no RLE stage).
-class GpuHistTrainer {
- public:
-  using TreeCallback = GpuGbdtTrainer::TreeCallback;
-
-  GpuHistTrainer(device::Device& dev, GBDTParam param);
-
-  [[nodiscard]] TrainReport train(const data::Dataset& ds);
-  /// `on_tree` as in GpuGbdtTrainer::train (early stopping).
-  [[nodiscard]] TrainReport train(const data::Dataset& ds,
-                                  const TreeCallback& on_tree);
-
-  [[nodiscard]] const GBDTParam& param() const { return param_; }
-
- private:
-  device::Device& dev_;
-  GBDTParam param_;
-  std::unique_ptr<Loss> loss_;
 };
 
 }  // namespace gbdt

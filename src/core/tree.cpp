@@ -1,6 +1,7 @@
 #include "core/tree.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -59,6 +60,18 @@ const float* find_attr(const std::int32_t* attrs, const float* values,
   const auto* end = attrs + n;
   const auto* it = std::lower_bound(attrs, end, attr);
   return (it != end && *it == attr) ? values + (it - attrs) : nullptr;
+}
+
+/// Reads the next token of `in` whole as a T.  from_chars parses "nan" and
+/// "inf", so a non-finite number reaches check_finite instead of failing
+/// as truncation.
+template <typename T>
+bool read_number(std::istream& in, T& out) {
+  std::string tok;
+  if (!(in >> tok)) return false;
+  const char* end = tok.data() + tok.size();
+  const auto [p, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc{} && p == end;
 }
 
 }  // namespace
@@ -157,11 +170,17 @@ Tree Tree::deserialize(std::istream& in, std::int64_t n_attributes,
   while (t.nodes_.size() < count) {
     const std::size_t i = t.nodes_.size();
     TreeNode n;
-    if (!(in >> n.left >> n.right >> n.attr >> n.split_value >>
-          n.default_left >> n.weight >> n.gain >> n.n_instances >> n.sum_g >>
-          n.sum_h)) {
-      throw std::runtime_error("tree deserialize: truncated node data");
+    int default_left = 0;
+    if (!(read_number(in, n.left) && read_number(in, n.right) &&
+          read_number(in, n.attr) && read_number(in, n.split_value) &&
+          read_number(in, default_left) && read_number(in, n.weight) &&
+          read_number(in, n.gain) && read_number(in, n.n_instances) &&
+          read_number(in, n.sum_g) && read_number(in, n.sum_h)) ||
+        (default_left != 0 && default_left != 1)) {
+      throw std::runtime_error(
+          "tree deserialize: truncated or malformed node data");
     }
+    n.default_left = default_left == 1;
     const auto after_in_range = [&](std::int32_t child) {
       return child >= 0 && static_cast<std::size_t>(child) > i &&
              static_cast<std::size_t>(child) < count;
@@ -182,7 +201,22 @@ Tree Tree::deserialize(std::istream& in, std::int64_t n_attributes,
     }
     t.nodes_.push_back(n);
   }
+  t.check_finite(tree_index);
   return t;
+}
+
+void Tree::check_finite(std::size_t tree_index) const {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const TreeNode& n = nodes_[i];
+    for (const auto& [field, v] : {std::pair<const char*, double>{
+             "threshold", n.split_value}, {"weight", n.weight},
+             {"gain", n.gain}, {"gradient sum", n.sum_g},
+             {"gradient sum", n.sum_h}}) {
+      if (std::isfinite(v)) continue;
+      throw TreeFormatError("tree " + std::to_string(tree_index) + " node " +
+                            std::to_string(i) + ": non-finite " + field);
+    }
+  }
 }
 
 }  // namespace gbdt

@@ -84,11 +84,16 @@ class Tree {
   /// Reads one tree written by serialize().  Every split node's children must
   /// lie in range and after the node itself (split() appends them), which is
   /// what guarantees prediction walks terminate, and its attribute must lie
-  /// in [0, n_attributes); a node that breaks either throws TreeFormatError
-  /// naming `tree_index` and the node.
+  /// in [0, n_attributes); a node that breaks either, or fails
+  /// check_finite, throws TreeFormatError naming `tree_index` and the node.
   [[nodiscard]] static Tree deserialize(std::istream& in,
                                         std::int64_t n_attributes,
                                         std::size_t tree_index = 0);
+
+  /// Throws TreeFormatError naming `tree_index` and the first node whose
+  /// threshold, weight, gain or gradient sums is nan or infinite: such a
+  /// tree predicts garbage and its model file would not load back.
+  void check_finite(std::size_t tree_index) const;
 
  private:
   std::vector<TreeNode> nodes_;

@@ -1,6 +1,7 @@
 #include "data/libsvm_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -56,6 +57,7 @@ Dataset read_libsvm(std::istream& in) {
     if (!(ss >> tok)) continue;  // blank line
     float label = 0.f;
     if (!parse_float(tok, label)) fail(line_no, "bad label '" + tok + "'");
+    if (!std::isfinite(label)) fail(line_no, "non-finite label '" + tok + "'");
 
     entries.clear();
     std::int64_t prev_idx = 0;
@@ -71,6 +73,9 @@ Dataset read_libsvm(std::istream& in) {
       float value = 0.f;
       if (!parse_float(tok.substr(colon + 1), value)) {
         fail(line_no, "bad feature value in '" + tok + "'");
+      }
+      if (!std::isfinite(value)) {
+        fail(line_no, "non-finite feature value in '" + tok + "'");
       }
       entries.push_back({static_cast<std::int32_t>(idx - 1), value});
       if (idx > max_attr) max_attr = idx;

@@ -12,7 +12,9 @@ namespace gbdt::data {
 /// Parses LibSVM text.  Lines may end with comments introduced by '#'; a line
 /// that is blank once its comment is removed is skipped.  Every other line
 /// must start with a numeric label, and every label, index and value token
-/// must parse whole.  Indices must be strictly increasing within a line
+/// must parse whole.  Labels and values must be finite: `nan` and `inf` are
+/// rejected (a missing value is an absent `idx:value` pair, never a nan).
+/// Indices must be strictly increasing within a line
 /// (LibSVM convention); violations raise std::runtime_error with the
 /// offending line number.
 [[nodiscard]] Dataset read_libsvm(std::istream& in);

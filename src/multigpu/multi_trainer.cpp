@@ -55,10 +55,7 @@ namespace {
 struct Shard {
   std::unique_ptr<Device> dev;
   std::unique_ptr<TrainState> state;
-  std::int64_t n_local_attrs = 0;  // exact mode: columns held locally
-  std::int64_t attr_lo = 0;        // feature mode: global id of local attr 0
-  std::int64_t row_lo = 0;         // hist mode: global row range [lo, hi)
-  std::int64_t row_hi = 0;
+  std::int64_t attr_lo = 0;  // feature mode: global id of local attr 0
   int comm_stream = device::kDefaultStream;
   int compute_stream = device::kDefaultStream;
   double busy_seconds = 0.0;  // accumulated modeled time of this shard
@@ -172,6 +169,67 @@ class ShardedBackend : public gbdt::detail::LevelBackend {
   [[nodiscard]] TrainState& state(int k) {
     return *shards_[static_cast<std::size_t>(k)].state;
   }
+
+  /// The shard builder both backends share.  Splits `ds` over the shards —
+  /// contiguous row ranges (`by_rows`, the hist method), or every row with
+  /// the column split of opts.shard — and opens each shard's device, its
+  /// comm stream (plus a compute stream by rows, for the find step's
+  /// overlap) and TrainState.  Then, as one parallel step, builds each
+  /// shard's local Dataset with local attribute ids and hands it to
+  /// `upload(k, local)`.
+  template <typename Upload>
+  void build_shards(const ShardSpec& spec, const data::Dataset& ds,
+                    bool by_rows, Upload upload) {
+    const int K = K_;
+    const auto n_inst = static_cast<std::size_t>(ds.n_instances());
+    const auto n_attr = static_cast<std::size_t>(ds.n_attributes());
+    // kData: attribute a lives on device a % K as local a / K.
+    // kFeature: device k owns the contiguous range [F*k/K, F*(k+1)/K).
+    const bool round_robin = !by_rows && spec.opts.shard == ShardMode::kData;
+    const bool streams = device::stream_async_enabled();
+    std::vector<detail::ChunkRange> rows;
+    for (int k = 0; k < K; ++k) {
+      auto& sh = shards_[static_cast<std::size_t>(k)];
+      rows.push_back(by_rows ? detail::chunk_range(n_inst, K, k)
+                             : detail::ChunkRange{0, n_inst});
+      const auto cols = by_rows ? detail::ChunkRange{0, n_attr}
+                                : detail::chunk_range(n_attr, K, k);
+      sh.attr_lo = static_cast<std::int64_t>(cols.lo);
+      sh.dev = std::make_unique<Device>(spec.cfg, spec.opts.host_workers);
+      if (streams) {
+        sh.comm_stream = sh.dev->stream();
+        if (by_rows) sh.compute_stream = sh.dev->stream();
+      }
+      sh.state = std::make_unique<TrainState>(*sh.dev, spec.param, spec.loss);
+      sh.state->n_inst = static_cast<std::int64_t>(rows.back().hi -
+                                                   rows.back().lo);
+      sh.state->n_attr =  // round robin: ceil((d - k) / K)
+          round_robin ? static_cast<std::int64_t>(n_attr + (K - 1 - k)) / K
+                      : static_cast<std::int64_t>(cols.hi - cols.lo);
+    }
+    ParallelStep step(shards_, report_.modeled_seconds);
+    std::vector<data::Entry> row;
+    for (int k = 0; k < K; ++k) {
+      const auto& sh = shards_[static_cast<std::size_t>(k)];
+      const std::int64_t n_local = sh.state->n_attr;
+      const auto [lo, hi] = rows[static_cast<std::size_t>(k)];
+      data::Dataset local(n_local);
+      for (std::size_t i = lo; i < hi; ++i) {
+        row.clear();
+        for (const auto& e : ds.instance(static_cast<std::int64_t>(i))) {
+          const std::int64_t a =
+              round_robin ? (e.attr % K == k ? e.attr / K : -1)
+                          : e.attr - sh.attr_lo;
+          if (a >= 0 && a < n_local) {
+            row.push_back({static_cast<std::int32_t>(a), e.value});
+          }
+        }
+        local.add_instance(row, ds.labels()[i]);
+      }
+      upload(k, local);
+    }
+  }
+
   /// Allreduce payloads: the first n elements of every shard's record.
   template <typename Records>
   [[nodiscard]] static auto spans_of(Records& per_shard, std::size_t n) {
@@ -201,57 +259,16 @@ class ExactShards final : public ShardedBackend {
     if (K > ds.n_attributes()) {
       throw std::invalid_argument("more devices than attributes");
     }
-    const std::int64_t n_inst = ds.n_instances();
-    const std::int64_t n_attr = ds.n_attributes();
-    const bool streams = device::stream_async_enabled();
-    // kData: attribute a lives on device a % K as local a / K.
-    // kFeature: device k owns the contiguous range [F*k/K, F*(k+1)/K).
     {
       obs::ScopedSpan span("shard_build");
-      for (int k = 0; k < K; ++k) {
-        auto& sh = shards_[static_cast<std::size_t>(k)];
-        sh.dev = std::make_unique<Device>(spec.cfg, spec.opts.host_workers);
-        sh.comm_stream = streams ? sh.dev->stream() : device::kDefaultStream;
-        if (feature_sharded_) {
-          const auto r =
-              detail::chunk_range(static_cast<std::size_t>(n_attr), K, k);
-          sh.attr_lo = static_cast<std::int64_t>(r.lo);
-          sh.n_local_attrs = static_cast<std::int64_t>(r.hi - r.lo);
-        } else {
-          sh.n_local_attrs = (n_attr + (K - 1 - k)) / K;  // ceil((d - k) / K)
-        }
-        sh.state = std::make_unique<TrainState>(*sh.dev, spec.param,
-                                                spec.loss);
-        sh.state->n_inst = n_inst;
-        sh.state->n_attr = sh.n_local_attrs;
-      }
-      // Per-shard datasets with remapped attribute ids.
-      ParallelStep step(shards_, report_.modeled_seconds);
-      std::vector<data::Entry> row;
-      for (int k = 0; k < K; ++k) {
-        auto& sh = shards_[static_cast<std::size_t>(k)];
-        data::Dataset local(sh.n_local_attrs);
-        for (std::int64_t i = 0; i < n_inst; ++i) {
-          row.clear();
-          for (const auto& e : ds.instance(i)) {
-            if (feature_sharded_) {
-              if (e.attr >= sh.attr_lo &&
-                  e.attr < sh.attr_lo + sh.n_local_attrs) {
-                row.push_back(
-                    {static_cast<std::int32_t>(e.attr - sh.attr_lo), e.value});
-              }
-            } else if (e.attr % K == k) {
-              row.push_back({e.attr / K, e.value});
-            }
-          }
-          local.add_instance(row, ds.labels()[static_cast<std::size_t>(i)]);
-        }
-        auto& st = *sh.state;
-        auto csc = data::build_csc_device(*sh.dev, local);
-        st.orig_values = std::move(csc.values);
-        st.orig_inst = std::move(csc.inst_ids);
-        st.orig_seg_offsets = std::move(csc.col_offsets);
-      }
+      build_shards(spec, ds, /*by_rows=*/false,
+                   [&](int k, const data::Dataset& local) {
+                     auto& st = state(k);
+                     auto csc = data::build_csc_device(st.dev, local);
+                     st.orig_values = std::move(csc.values);
+                     st.orig_inst = std::move(csc.inst_ids);
+                     st.orig_seg_offsets = std::move(csc.col_offsets);
+                   });
     }
     // Replicated per-instance state + labels on every shard.
     {
@@ -541,10 +558,8 @@ class HistShards final : public ShardedBackend {
           "multi-GPU hist: ranking objectives need query groups spanning "
           "shards; train single-device instead");
     }
-    const std::int64_t n_attr = ds.n_attributes();
     // Histogram slots replicate per shard, so the single-device bound holds.
-    validate(param, n_attr, spec.cfg.global_mem_bytes);
-    const bool streams = device::stream_async_enabled();
+    validate(param, ds.n_attributes(), spec.cfg.global_mem_bytes);
 
     // ---- row shards binned against the *global* quantile cuts -------------
     binned_.resize(static_cast<std::size_t>(K));
@@ -552,37 +567,15 @@ class HistShards final : public ShardedBackend {
       obs::ScopedSpan span("shard_build");
       const std::vector<hist::BinCuts> cuts =
           build_hist_cuts(ds, param.n_bins);
-      for (int k = 0; k < K; ++k) {
-        auto& sh = shards_[static_cast<std::size_t>(k)];
-        sh.dev = std::make_unique<Device>(spec.cfg, spec.opts.host_workers);
-        if (streams) {
-          sh.comm_stream = sh.dev->stream();
-          sh.compute_stream = sh.dev->stream();
-        }
-        const auto r =
-            detail::chunk_range(static_cast<std::size_t>(n_inst_), K, k);
-        sh.row_lo = static_cast<std::int64_t>(r.lo);
-        sh.row_hi = static_cast<std::int64_t>(r.hi);
-        sh.state = std::make_unique<TrainState>(*sh.dev, param, spec.loss);
-        sh.state->n_inst = sh.row_hi - sh.row_lo;
-        sh.state->n_attr = n_attr;
-      }
-      ParallelStep step(shards_, report_.modeled_seconds);
-      for (int k = 0; k < K; ++k) {
-        auto& sh = shards_[static_cast<std::size_t>(k)];
-        data::Dataset local(n_attr);
-        std::vector<data::Entry> row;
-        for (std::int64_t i = sh.row_lo; i < sh.row_hi; ++i) {
-          const auto inst = ds.instance(i);
-          row.assign(inst.begin(), inst.end());
-          local.add_instance(row, ds.labels()[static_cast<std::size_t>(i)]);
-        }
-        binned_[static_cast<std::size_t>(k)] =
-            build_binned_matrix(*sh.dev, local, param.n_bins, cuts);
-        labels_[static_cast<std::size_t>(k)] =
-            sh.dev->to_device<float>(local.labels());
-        gbdt::detail::alloc_instance_state(*sh.state);
-      }
+      build_shards(spec, ds, /*by_rows=*/true,
+                   [&](int k, const data::Dataset& local) {
+                     const auto ku = static_cast<std::size_t>(k);
+                     auto& st = state(k);
+                     binned_[ku] = build_binned_matrix(st.dev, local,
+                                                       param.n_bins, cuts);
+                     labels_[ku] = st.dev.to_device<float>(local.labels());
+                     gbdt::detail::alloc_instance_state(st);
+                   });
     }
     growers_.reserve(static_cast<std::size_t>(K));
     for (int k = 0; k < K; ++k) {
@@ -784,7 +777,7 @@ MultiGpuTrainer::~MultiGpuTrainer() = default;
 int MultiGpuTrainer::n_devices() const { return impl_->n_devices; }
 
 MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
-  if (impl_->param.autotune || autotune::autotune_forced()) {
+  if (impl_->param.autotune) {
     // Shards share one tuned configuration (they see the same shape).
     autotune::apply(
         autotune::tune(impl_->cfg, autotune::problem_shape(ds), impl_->param),

@@ -16,7 +16,6 @@
 #include "core/metrics.h"
 #include "core/out_of_core.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "core/predictor.h"
 #include "multigpu/allreduce.h"
 #include "multigpu/multi_trainer.h"
@@ -134,7 +133,7 @@ LegResult hist_leg(const FuzzCase& c, const LegOutput& ref,
     p.use_hist_trainer = true;
     p.n_bins = c.n_bins;
     Device dev(DeviceConfig::titan_x_pascal());
-    auto r = GpuHistTrainer(dev, p).train(ds);
+    auto r = GpuGbdtTrainer(dev, p).train(ds);
     if (r.trees.size() != ref.trees.size()) {
       leg.detail = "forest size " + std::to_string(r.trees.size()) +
                    " != reference " + std::to_string(ref.trees.size());
@@ -652,7 +651,7 @@ OracleResult run_objective_oracle(const FuzzCase& c, bool check_invariants) {
         p.use_hist_trainer = true;
         p.n_bins = c.n_bins;
         Device dev(DeviceConfig::titan_x_pascal());
-        auto r = GpuHistTrainer(dev, p).train(ds);
+        auto r = GpuGbdtTrainer(dev, p).train(ds);
         if (r.trees.size() != sampled_ref.trees.size()) {
           leg.detail = "forest size " + std::to_string(r.trees.size()) +
                        " != sampled exact " +
@@ -776,7 +775,7 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
   LegOutput hist_ref;
   try {
     Device dev(DeviceConfig::titan_x_pascal());
-    auto r = GpuHistTrainer(dev, hist).train(ds);
+    auto r = GpuGbdtTrainer(dev, hist).train(ds);
     hist_ref = LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
     have_hist = true;
   } catch (const std::exception& e) {
@@ -939,7 +938,7 @@ OracleResult run_workers_oracle(const FuzzCase& c, bool check_invariants) {
       ds));
   result.legs.push_back(workers_leg(
       "workers_hist", on_device([&](Device& dev) {
-        return GpuHistTrainer(dev, hist).train(ds);
+        return GpuGbdtTrainer(dev, hist).train(ds);
       }),
       ds));
   result.legs.push_back(workers_leg(

@@ -67,7 +67,6 @@ TEST(Autotune, SweepEvaluatesPaperDefault) {
       t.candidates.begin(), t.candidates.end(),
       [](const SetKeyCandidate& c) { return !c.use_custom_setkey; });
   EXPECT_TRUE(has_off);
-  EXPECT_FALSE(t.ooc_candidates.empty());
 }
 
 TEST(Autotune, ApplyWritesChosenKnobs) {

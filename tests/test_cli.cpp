@@ -187,6 +187,23 @@ TEST_F(CliTest, BadInputsFailGracefully) {
       << bad_label.output;
 }
 
+// A nan label fails training naming its line, instead of training to nan
+// weights and writing a model file that cannot be loaded back.
+TEST_F(CliTest, NonFiniteLabelFailsTrainingNamingTheLine) {
+  {
+    std::ofstream out("/tmp/gbdt_cli_nan_label.libsvm");
+    out << "1 1:0.5\nnan 1:0.25\n0 1:0.75\n1 1:1\n";
+  }
+  std::remove("/tmp/gbdt_cli_nan.model");
+  const auto r = run("train --data=/tmp/gbdt_cli_nan_label.libsvm "
+                     "--model=/tmp/gbdt_cli_nan.model --trees=1 --depth=1");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("line 2: non-finite label 'nan'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_FALSE(std::ifstream("/tmp/gbdt_cli_nan.model").good());
+}
+
 // A model whose split names an attribute outside [0, n_attributes) must not
 // load: predicting with it would send every row down the missing branch.
 TEST_F(CliTest, PredictRejectsOutOfRangeSplitAttribute) {

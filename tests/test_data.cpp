@@ -201,6 +201,21 @@ TEST(LibsvmIo, RejectsNonNumericLabelNamingTheLine) {
   EXPECT_FLOAT_EQ(ds.labels()[0], 1.f);
 }
 
+// Non-finite labels and values have one policy: the reader rejects them,
+// naming the line, so no nan reaches the trainers or a saved model.
+TEST(LibsvmIo, RejectsNonFiniteLabelsAndValuesNamingTheLine) {
+  EXPECT_NE(libsvm_error("1 1:0.5\nnan 1:0.25\n0 1:0.75\n")
+                .find("line 2: non-finite label 'nan'"),
+            std::string::npos);
+  EXPECT_NE(libsvm_error("-inf 1:1\n").find("line 1: non-finite label"),
+            std::string::npos);
+  EXPECT_NE(libsvm_error("1 1:1\n0 1:1\n1 2:inf\n")
+                .find("line 3: non-finite feature value in '2:inf'"),
+            std::string::npos);
+  EXPECT_NE(libsvm_error("1 1:-nan\n").find("line 1: non-finite feature"),
+            std::string::npos);
+}
+
 TEST(QueryFile, RejectsNonNumericCountNamingTheLine) {
   const auto query_error = [](const std::string& text) {
     Dataset ds(1);

@@ -13,7 +13,6 @@
 #include "core/metrics.h"
 #include "core/out_of_core.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "multigpu/multi_trainer.h"
@@ -253,11 +252,12 @@ TEST(ParamValidation, EveryTrainerRejectsEveryBadValue) {
     GBDTParam p = tiny_param();
     bad.set(p);
     EXPECT_THROW(GpuGbdtTrainer(dev, p), std::invalid_argument) << bad.what;
-    EXPECT_THROW(GpuHistTrainer(dev, p), std::invalid_argument) << bad.what;
     EXPECT_THROW(OutOfCoreTrainer(dev, p), std::invalid_argument) << bad.what;
     EXPECT_THROW(multigpu::MultiGpuTrainer(cfg, 2, p), std::invalid_argument)
         << bad.what;
     p.use_hist_trainer = true;
+    EXPECT_THROW(GpuGbdtTrainer(dev, p), std::invalid_argument)
+        << bad.what << " (hist)";
     EXPECT_THROW(multigpu::MultiGpuTrainer(cfg, 2, p), std::invalid_argument)
         << bad.what << " (multi-GPU hist)";
   }
@@ -275,9 +275,20 @@ TEST(ParamValidation, HistPathsRejectHistogramsOverAQuarterOfMemory) {
   p.use_hist_trainer = true;
   const auto cfg = DeviceConfig::titan_x_pascal();
   Device dev(cfg);
-  EXPECT_THROW((void)GpuHistTrainer(dev, p).train(ds), std::invalid_argument);
+  EXPECT_THROW((void)GpuGbdtTrainer(dev, p).train(ds), std::invalid_argument);
   EXPECT_THROW((void)multigpu::MultiGpuTrainer(cfg, 2, p).train(ds),
                std::invalid_argument);
+}
+
+// The out-of-core trainer streams exact attribute lists only; asking it for
+// the histogram method fails instead of silently training exact.
+TEST(ParamValidation, OutOfCoreRejectsTheHistogramMethod) {
+  Device dev(DeviceConfig::titan_x_pascal());
+  GBDTParam p = tiny_param();
+  p.use_hist_trainer = true;
+  EXPECT_THROW(OutOfCoreTrainer(dev, p), std::invalid_argument);
+  p.use_hist_trainer = false;
+  EXPECT_NO_THROW(OutOfCoreTrainer(dev, p));
 }
 
 }  // namespace

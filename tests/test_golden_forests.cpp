@@ -20,7 +20,6 @@
 #include "core/gbdt.h"
 #include "core/out_of_core.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "multigpu/multi_trainer.h"
@@ -115,8 +114,10 @@ TEST(GoldenForests, ForcedRle) {
 }
 
 TEST(GoldenForests, Hist) {
+  GBDTParam p = golden_param();
+  p.use_hist_trainer = true;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = GpuHistTrainer(dev, golden_param()).train(golden_data());
+  const auto r = GpuGbdtTrainer(dev, p).train(golden_data());
   expect_golden("hist", r.trees, r.base_score, r.modeled.total(),
                 {0x9d96c76c3b2f47d7ULL, "0x1.f3217b50fdbfep-10"});
 }

@@ -10,7 +10,6 @@
 #include "core/metrics.h"
 #include "core/param.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 
@@ -44,7 +43,7 @@ TrainReport train_hist(Device& dev, GBDTParam p, int bins,
                        const data::Dataset& ds) {
   p.use_hist_trainer = true;
   p.n_bins = bins;
-  return GpuHistTrainer(dev, p).train(ds);
+  return GpuGbdtTrainer(dev, p).train(ds);
 }
 
 TEST(HistTrainer, LearnsCloseToExact) {

@@ -15,7 +15,6 @@
 
 #include "core/out_of_core.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "multigpu/multi_trainer.h"
@@ -262,11 +261,14 @@ int run_tool(const std::string& args) {
   return rc == -1 ? -1 : (WIFEXITED(rc) ? WEXITSTATUS(rc) : -1);
 }
 
-void write_suite(const std::string& path, double modeled) {
+/// A one-case suite report; `autotune` < 0 leaves autotune_seconds out.
+void write_suite(const std::string& path, double modeled,
+                 const char* bench_name = "t2", double autotune = -1.0) {
   Json c = Json::object();
   c["name"] = "ds1";
   auto metrics = Json::object();
   metrics["modeled_seconds"] = modeled;
+  if (autotune >= 0.0) metrics["autotune_seconds"] = autotune;
   c["metrics"] = std::move(metrics);
   auto cases = Json::array();
   cases.push_back(std::move(c));
@@ -276,7 +278,7 @@ void write_suite(const std::string& path, double modeled) {
   Json doc = Json::object();
   doc["schema"] = "gbdt-bench-suite-v1";
   doc["benches"] = Json::object();
-  doc["benches"]["t2"] = std::move(bench);
+  doc["benches"][bench_name] = std::move(bench);
   ASSERT_TRUE(obs::write_json_file(path, doc));
 }
 
@@ -304,6 +306,21 @@ TEST(ObsBenchCompare, ExitsNonzeroOnInjectedRegression) {
   std::remove(now.c_str());
   std::remove(old_same.c_str());
   std::remove(old_fast.c_str());
+}
+
+// Each fig9 case's autotuned run must model no slower than its
+// fixed-constant run, and a case without the autotuned run fails.
+TEST(ObsBenchCompare, AutotuneGateFailsOnSlowerOrMissingTunedRun) {
+  const std::string path = "/tmp/test_obs_suite_fig9.json";
+  const auto gate = [&](double autotune) {
+    write_suite(path, 1.0, "fig9", autotune);
+    return run_tool("--compare-only --json=" + path);
+  };
+  EXPECT_EQ(gate(1.0), 0);
+  EXPECT_EQ(gate(0.9), 0);
+  EXPECT_EQ(gate(1.10), 1);
+  EXPECT_EQ(gate(-1.0), 1);
+  std::remove(path.c_str());
 }
 
 #endif  // GBDT_BENCH_PATH
@@ -390,8 +407,10 @@ TEST(ObsMetrics, EveryTrainerPathCountsTreesAndLevels) {
     return GpuGbdtTrainer(dev, p).train(ds).trees;
   });
   expect_counts("hist", [&] {
+    GBDTParam ph = p;
+    ph.use_hist_trainer = true;
     device::Device dev(cfg);
-    return GpuHistTrainer(dev, p).train(ds).trees;
+    return GpuGbdtTrainer(dev, ph).train(ds).trees;
   });
   expect_counts("out_of_core", [&] {
     device::Device dev(cfg);

@@ -111,6 +111,64 @@ TEST(Tree, DeserializeRejectsGarbage) {
   EXPECT_THROW((void)Tree::deserialize(huge, 1), std::runtime_error);
 }
 
+/// The message `fn` throws as TreeFormatError ("" if it does not).
+template <typename Fn>
+std::string tree_format_error(Fn fn) {
+  try {
+    fn();
+  } catch (const TreeFormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A non-finite weight or threshold is a format error naming the tree and
+// node, not a parse failure reported as truncation.
+TEST(Tree, DeserializeRejectsNonFiniteNumbersNamingTheNode) {
+  const auto load = [](const std::string& text) {
+    return tree_format_error([&] {
+      std::stringstream in(text);
+      (void)Tree::deserialize(in, 4, /*tree_index=*/7);
+    });
+  };
+  const std::string leaf = "-1 -1 -1 0 0 0.25 0 5 0 0\n";
+  EXPECT_NE(load("3\n1 2 0 0.5 0 0 1 10 0 0\n" + leaf +
+                 "-1 -1 -1 0 0 -nan 0 5 0 0\n")
+                .find("tree 7 node 2: non-finite weight"),
+            std::string::npos);
+  EXPECT_NE(load("3\n1 2 0 inf 0 0 1 10 0 0\n" + leaf + leaf)
+                .find("tree 7 node 0: non-finite threshold"),
+            std::string::npos);
+  EXPECT_NE(load("1\n-1 -1 -1 0 0 0.5 nan 5 0 0\n")
+                .find("tree 7 node 0: non-finite gain"),
+            std::string::npos);
+  EXPECT_EQ(load("1\n" + leaf), "");
+}
+
+// Saving refuses a forest with a non-finite number before it writes a file
+// that could not be loaded back.
+TEST(Tree, SaveRefusesNonFiniteWeightsAndThresholds) {
+  const std::string path = ::testing::TempDir() + "gbdt_nonfinite.model";
+  std::remove(path.c_str());
+  Tree bad_weight = stump();
+  bad_weight.node(2).weight = std::nan("");
+  Tree bad_threshold = stump();
+  bad_threshold.node(0).split_value = INFINITY;
+  GBDTParam p;
+  const auto save_error = [&](const Tree& t) {
+    return tree_format_error(
+        [&] { GBDTModel(p, {stump(), t}, 0.5, 1).save(path); });
+  };
+  EXPECT_NE(save_error(bad_weight).find("tree 1 node 2: non-finite weight"),
+            std::string::npos);
+  EXPECT_NE(
+      save_error(bad_threshold).find("tree 1 node 0: non-finite threshold"),
+      std::string::npos);
+  EXPECT_FALSE(std::ifstream(path).good()) << "no file may be written";
+  EXPECT_EQ(save_error(stump()), "");
+  std::remove(path.c_str());
+}
+
 TEST(Tree, SameStructureDetectsDifferences) {
   Tree a = stump();
   Tree b = stump();

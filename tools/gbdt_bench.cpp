@@ -14,10 +14,12 @@
 // deterministic, so any drift is a real cost-model or algorithm change, not
 // machine noise; the threshold exists for intentional small reworks.
 //
-// Every gated report (--compare or --compare-only) also passes the
-// collective-ordering gate inside itself: each multigpu ring or tree case
-// must model no slower than its all-to-one partner (same dataset, shard
-// mode and shard count), at the same threshold.
+// Every gated report (--compare or --compare-only) also passes two ordering
+// gates inside itself, at the same threshold: each multigpu ring or tree
+// case must model no slower than its all-to-one partner (same dataset, shard
+// mode and shard count), and each fig9 case's autotuned run
+// (autotune_seconds) no slower than its fixed-constant run
+// (modeled_seconds).
 //
 // Exit codes: 0 ok, 1 regression or ordering violation detected, 2 usage
 // error, 3 a bench failed.
@@ -156,8 +158,9 @@ int run_bench(const SuiteOptions& o, const BenchEntry& b,
   return -1;
 }
 
-/// Flattens a suite doc into (bench/case, modeled_seconds) rows.
-std::vector<std::pair<std::string, double>> modeled_rows(const Json& suite) {
+/// Flattens a suite doc into (bench/case, metrics.<metric>) rows.
+std::vector<std::pair<std::string, double>> metric_rows(
+    const Json& suite, const char* metric = "modeled_seconds") {
   std::vector<std::pair<std::string, double>> rows;
   const Json* benches = suite.find("benches");
   if (benches == nullptr) return rows;
@@ -168,9 +171,9 @@ std::vector<std::pair<std::string, double>> modeled_rows(const Json& suite) {
       const Json* name = c.find("name");
       const Json* metrics = c.find("metrics");
       if (name == nullptr || metrics == nullptr) continue;
-      const Json* modeled = metrics->find("modeled_seconds");
-      if (modeled == nullptr || !modeled->is_number()) continue;
-      rows.emplace_back(bname + "/" + name->str(), modeled->number_or(0.0));
+      const Json* value = metrics->find(metric);
+      if (value == nullptr || !value->is_number()) continue;
+      rows.emplace_back(bname + "/" + name->str(), value->number_or(0.0));
     }
   }
   return rows;
@@ -187,8 +190,8 @@ const double* find_row(const std::vector<std::pair<std::string, double>>& rows,
 
 /// Compares two suite reports; returns the number of regressions.
 int compare_suites(const Json& now, const Json& old, double threshold_pct) {
-  const auto new_rows = modeled_rows(now);
-  const auto old_rows = modeled_rows(old);
+  const auto new_rows = metric_rows(now);
+  const auto old_rows = metric_rows(old);
   int regressions = 0;
   int matched = 0;
   for (const auto& [key, new_secs] : new_rows) {
@@ -220,7 +223,7 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
 /// Returns the number of violations.
 int collective_order_violations(const Json& suite, double threshold_pct) {
   const std::string prefix = "multigpu/";
-  const auto rows = modeled_rows(suite);
+  const auto rows = metric_rows(suite);
   int violations = 0;
   int checked = 0;
   for (const auto& [key, secs] : rows) {
@@ -254,6 +257,40 @@ int collective_order_violations(const Json& suite, double threshold_pct) {
   std::printf(
       "checked %d ring/tree case(s) against all-to-one, %d violation(s) "
       "beyond %.1f%%\n",
+      checked, violations, threshold_pct);
+  return violations;
+}
+
+/// The autotune ordering gate over one suite report: every fig9 case's
+/// autotune_seconds (the cost-model-tuned run) must model no slower than its
+/// modeled_seconds (the paper's fixed constants).  A fig9 case without an
+/// autotune_seconds partner counts as a violation.  Returns the number of
+/// violations.
+int autotune_order_violations(const Json& suite, double threshold_pct) {
+  const std::string prefix = "fig9/";
+  const auto tuned_rows = metric_rows(suite, "autotune_seconds");
+  int violations = 0;
+  int checked = 0;
+  for (const auto& [key, secs] : metric_rows(suite)) {
+    if (key.compare(0, prefix.size(), prefix) != 0) continue;
+    const double* tuned = find_row(tuned_rows, key);
+    if (tuned == nullptr) {
+      ++violations;
+      std::printf("  UNPAIRED  %-46s (no autotune_seconds)\n", key.c_str());
+      continue;
+    }
+    ++checked;
+    if (*tuned > secs * (1.0 + threshold_pct / 100.0)) {
+      ++violations;
+      std::printf("  SLOWER    %-46s autotuned %12.6fs vs fixed %12.6fs "
+                  "(%+.1f%%)\n",
+                  key.c_str(), *tuned, secs,
+                  secs > 0.0 ? 100.0 * (*tuned - secs) / secs : 0.0);
+    }
+  }
+  std::printf(
+      "checked %d fig9 case(s) autotuned against fixed constants, %d "
+      "violation(s) beyond %.1f%%\n",
       checked, violations, threshold_pct);
   return violations;
 }
@@ -327,6 +364,7 @@ int main(int argc, char** argv) {
   }
   if (opt.compare_only || !opt.compare_path.empty()) {
     failures += collective_order_violations(suite, opt.threshold_pct);
+    failures += autotune_order_violations(suite, opt.threshold_pct);
   }
   return failures > 0 ? 1 : 0;
 }

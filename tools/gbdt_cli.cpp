@@ -220,8 +220,6 @@ void print_tuning(const autotune::TuningReport& t) {
                "deepest level)\n",
                t.use_custom_idxcomp_workload ? "custom" : "naive",
                t.partition_custom_seconds, t.partition_naive_seconds);
-  std::fprintf(stderr, "  out-of-core chunk: %zu MiB\n",
-               t.ooc_chunk_bytes >> 20);
 }
 
 /// Prints the training fit: log loss and error rate over probabilities for
